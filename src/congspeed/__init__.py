@@ -7,20 +7,12 @@ system built on 10-adic root residues (`speed_by_formula`, `class_spec`,
 (`smallest_prime_with_speed`).
 """
 
-from .arith import (
-    carmichael,
-    digit_length,
-    exact_tetration,
-    Modulus,
-    pow_mod,
-    tower_residue,
-    tower_residues,
-    valuation,
-)
+from .arith import carmichael, digit_length, tower_residues, valuation
 from .classes import (
     class5_closed_form,
     class_spec,
     ClassSpec,
+    FormulaMismatch,
     min_base,
     min_base_class,
     min_base_lift,
@@ -72,9 +64,8 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "carmichael", "digit_length", "exact_tetration", "Modulus", "pow_mod",
-    "tower_residue", "tower_residues", "valuation",
-    "class5_closed_form", "class_spec", "ClassSpec", "min_base",
+    "carmichael", "digit_length", "tower_residues", "valuation",
+    "class5_closed_form", "class_spec", "ClassSpec", "FormulaMismatch", "min_base",
     "min_base_class", "min_base_lift", "ProgressionFamily",
     "speed_by_formula", "speed_by_membership", "speed_one_residues",
     "table1_rows", "valuation_bound",

@@ -14,7 +14,6 @@ at least the largest prime-power exponent of m.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 # Exponents at or below this are always carried exactly; tower evaluation
 # raises the effective threshold to the digit count so the clamp identity
@@ -52,51 +51,6 @@ def digit_length(a: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """A modulus 2^two_exp * 5^five_exp with its value cached."""
-
-    value: int
-    two_exp: int
-    five_exp: int
-
-    def __post_init__(self):
-        if self.two_exp < 0 or self.five_exp < 0:
-            raise ValueError("negative exponent in modulus")
-        if self.value != 2**self.two_exp * 5**self.five_exp:
-            raise ValueError("modulus value is not 2^i * 5^j with the stated exponents")
-
-    @classmethod
-    def from_exponents(cls, i: int, j: int) -> "Modulus":
-        return cls(2**i * 5**j, i, j)
-
-    @classmethod
-    def ten_power(cls, n: int) -> "Modulus":
-        return cls(10**n, n, n)
-
-    @classmethod
-    def from_value(cls, value: int) -> "Modulus":
-        if value < 1:
-            raise ValueError("modulus must be positive")
-        i = valuation(2, value) if value > 1 else 0
-        j = valuation(5, value) if value > 1 else 0
-        return cls(value, i, j)
-
-
-@dataclass(frozen=True)
-class ClampedExponent:
-    """A tower exponent prepared for use modulo some m.
-
-    When is_large is false, residue is the exact exponent.  When true, the
-    exact exponent exceeds the evaluation threshold and residue is its value
-    modulo lambda(m); the consumer must add lambda(m) back before
-    exponentiating.
-    """
-
-    residue: int
-    is_large: bool
-
-
 def _lambda_exponents(i: int, j: int) -> tuple[int, int]:
     """Exponents of lambda(2^i * 5^j) = lcm(lambda(2^i), lambda(5^j)) as 2^i' * 5^j'."""
     if i <= 1:
@@ -111,23 +65,15 @@ def _lambda_exponents(i: int, j: int) -> tuple[int, int]:
     return max(i2, 2), j - 1
 
 
-def carmichael(m: Modulus | int) -> int:
-    """Carmichael's lambda for a 2^i * 5^j modulus."""
-    if isinstance(m, int):
-        m = Modulus.from_value(m)
-    i2, j2 = _lambda_exponents(m.two_exp, m.five_exp)
+def carmichael(m: int) -> int:
+    """Carmichael's lambda for a modulus m = 2^i * 5^j."""
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    i, j = valuation(2, m), valuation(5, m)
+    if m != 2**i * 5**j:
+        raise ValueError(f"modulus {m} is not of the form 2^i * 5^j")
+    i2, j2 = _lambda_exponents(i, j)
     return 2**i2 * 5**j2
-
-
-@functools.lru_cache(maxsize=None)
-def _lambda_int(m: int) -> int:
-    return carmichael(Modulus.from_value(m))
-
-
-def pow_mod(base: int, exp: int, m: Modulus | int) -> int:
-    """base^exp mod m; exp = 0 yields 1 mod m."""
-    value = m.value if isinstance(m, Modulus) else m
-    return pow(base, exp, value)
 
 
 @functools.lru_cache(maxsize=None)
@@ -181,44 +127,6 @@ def _exact_towers_capped(a: int, levels: int, cap: int) -> list:
     return vals
 
 
-def tower_exponent(a: int, b: int, m: int) -> ClampedExponent:
-    """The tower ^b a prepared as an exponent for reduction modulo m."""
-    mod = Modulus.from_value(m)
-    cap = max(CLAMP_THRESHOLD, mod.two_exp, mod.five_exp)
-    return _tower_exponent(a, b, m, cap)
-
-
-def _tower_exponent(a: int, b: int, m: int, cap: int) -> ClampedExponent:
-    if b == 1:
-        # The base itself is always available exactly.
-        return ClampedExponent(a, False)
-    exact = _exact_towers_capped(a, b, cap)[b]
-    if exact is not None:
-        return ClampedExponent(exact, False)
-    lam = _lambda_int(m)
-    return ClampedExponent(_tower_mod(a, b, lam, cap), True)
-
-
-def _tower_mod(a: int, b: int, m: int, cap: int) -> int:
-    if m == 1:
-        return 0
-    if b == 1:
-        return a % m
-    e = _tower_exponent(a, b - 1, m, cap)
-    if e.is_large:
-        lam = _lambda_int(m)
-        return pow(a, e.residue + lam, m)
-    return pow(a, e.residue, m)
-
-
-def tower_residue(a: int, b: int, digits: int) -> int:
-    """^b a mod 10^digits."""
-    if a < 1 or b < 1 or digits < 1:
-        raise ValueError("tower_residue requires a, b, digits >= 1")
-    cap = max(CLAMP_THRESHOLD, digits)
-    return _tower_mod(a, b, 10**digits, cap)
-
-
 def tower_residues(a: int, b_max: int, digits: int) -> list[int]:
     """Residues of ^1 a .. ^b_max a modulo 10^digits.
 
@@ -251,20 +159,3 @@ def tower_residues(a: int, b_max: int, digits: int) -> list[int]:
         row = new
         results.append(row[0])
     return results
-
-
-def exact_tetration(a: int, b: int, max_digits: int) -> int:
-    """Exact value of ^b a, provided it has at most max_digits digits."""
-    if a < 1 or b < 1 or max_digits < 1:
-        raise ValueError("exact_tetration requires a, b, max_digits >= 1")
-    if a == 1:
-        return 1
-    bit_cap = max_digits * 10 // 3 + 8
-    v = a
-    for _ in range(b - 1):
-        if v * max(a.bit_length() - 1, 1) > bit_cap:
-            raise OverflowError("exact tower too large")
-        v = a**v
-        if digit_length(v) > max_digits:
-            raise OverflowError("exact tower too large")
-    return v

@@ -13,15 +13,12 @@ from __future__ import annotations
 
 import functools
 import heapq
-import logging
 from dataclasses import dataclass
 from typing import Iterator
 
 from . import decadic
 from .arith import valuation
 from .speed import UndefinedSpeedError
-
-log = logging.getLogger(__name__)
 
 # Residues modulo 25 of the bases with constant congruence speed exactly 1.
 V1_RESIDUES = frozenset(
@@ -303,20 +300,25 @@ def _in_class(a: int, n: int) -> bool:
     return class_spec(a % 10, n).contains(a)
 
 
+class FormulaMismatch(RuntimeError):
+    """The valuation formula and class membership disagree on V(a)."""
+
+
 def speed_by_formula(a: int) -> int:
-    """V(a) by direct valuations, cross-checked against class membership."""
+    """V(a) by direct valuations, cross-checked against class membership.
+
+    Raises FormulaMismatch when a is not in the class the formula names.
+    """
     if a < 1 or a % 10 == 0:
         raise UndefinedSpeedError(f"undefined congruence speed for a = {a}")
     if a == 1:
         return 0
     v = _formula_value(a)
-    if _in_class(a, v):
-        return v
-    fallback = speed_by_membership(a)  # pragma: no cover - never expected
-    log.warning("valuation formula gave %s for a=%s; class membership says %s", v, a, fallback)
-    if fallback is None:
-        raise RuntimeError(f"no unique speed class for a = {a}")
-    return fallback
+    if not _in_class(a, v):
+        raise FormulaMismatch(
+            f"valuation formula gives V({a}) = {v}, class membership gives {speed_by_membership(a)}"
+        )
+    return v
 
 
 def speed_by_membership(a: int):

@@ -1,8 +1,13 @@
 """Command-line front end with text, JSON, and CSV output.
 
 Big integers are always serialized as decimal strings in JSON so output
-survives any consumer.  Exit codes: 0 success, 1 precision or budget
-exhaustion, 2 usage error (argparse), 3 verification mismatch.
+survives any consumer.  Every failure prints one `error:` line to stderr
+and exits with 1 (precision or search budget exhausted), 2 (usage error,
+including a base divisible by 10) or 3 (verification failure: a fixture
+or formula mismatch, or a `q` cache line that is torn or fails its check).
+`--digits` and TCS_DIGITS set the working precision of `speed --height`
+and `profile` and the starting precision of `verify`; `speed` without
+`--height` chooses and grows its own.
 """
 
 from __future__ import annotations
@@ -16,13 +21,7 @@ from dataclasses import dataclass
 from . import classes, decadic, primes, verify
 from .arith import digit_length
 from .primes import PrimeSpeedRecord
-from .speed import (
-    PrecisionError,
-    UndefinedSpeedError,
-    constant_speed,
-    speed_at_height,
-    speed_profile,
-)
+from .speed import PrecisionError, UndefinedSpeedError, speed_at_height, speed_profile
 
 ENV_DIGITS = "TCS_DIGITS"
 EXIT_OK = 0
@@ -34,7 +33,6 @@ EXIT_MISMATCH = 3
 @dataclass
 class Config:
     digits: int = 64
-    cache_path: str | None = None
     output: str = "text"
 
     def __post_init__(self):
@@ -47,10 +45,6 @@ class Config:
 def _default_digits() -> int:
     raw = os.environ.get(ENV_DIGITS)
     return int(raw) if raw else 64
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(obj)
 
 
 def _print_csv(rows, header):
@@ -68,55 +62,72 @@ def _record_dict(rec: PrimeSpeedRecord) -> dict:
     }
 
 
+class CacheError(RuntimeError):
+    """A `q` cache line is unreadable or its record fails verification."""
+
+
 def _load_cache(path: str) -> dict:
     cache = {}
     if not path or not os.path.exists(path):
         return cache
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            cache[int(obj["n"])] = PrimeSpeedRecord(
-                int(obj["n"]), int(obj["q"]), obj["method"], bool(obj["oracle_checked"])
-            )
+            try:
+                obj = json.loads(line)
+                rec = PrimeSpeedRecord(
+                    int(obj["n"]), int(obj["q"]), obj["method"], bool(obj["oracle_checked"])
+                )
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CacheError(f"{path}:{lineno}: unreadable cache line") from exc
+            cache[rec.n] = rec
     return cache
 
 
 def _append_cache(path: str, rec: PrimeSpeedRecord) -> None:
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(_dump_json(_record_dict(rec)) + "\n")
+        fh.write(json.dumps(_record_dict(rec)) + "\n")
         fh.flush()
 
 
-def _cached_search(n: int, cache_path: str | None, budget: int | None) -> PrimeSpeedRecord:
+def _resolver(cache_path: str | None, budget: int | None):
+    """n -> PrimeSpeedRecord over one read of the cache.
+
+    A cached record is verified, not recomputed, the first time it is
+    asked for; a miss is searched for and appended to the cache.
+    """
     cache = _load_cache(cache_path) if cache_path else {}
-    rec = cache.get(n)
-    if rec is not None:
-        # Cache hits are verified, not recomputed.
-        if not primes.is_prime(rec.q) or classes.speed_by_formula(rec.q) != n:
-            raise RuntimeError(f"cache entry for n = {n} fails verification")
-        return rec
-    rec = primes.smallest_prime_with_speed(n, budget=budget)
-    if cache_path:
-        _append_cache(cache_path, rec)
-    return rec
+    resolved = {}
+
+    def resolve(n: int) -> PrimeSpeedRecord:
+        if n not in resolved:
+            rec = cache.get(n)
+            if rec is None:
+                rec = primes.smallest_prime_with_speed(n, budget=budget)
+                if cache_path:
+                    _append_cache(cache_path, rec)
+            elif not primes.is_prime(rec.q) or classes.speed_by_formula(rec.q) != n:
+                raise CacheError(f"{cache_path}: cache entry for n = {n} fails verification")
+            resolved[n] = rec
+        return resolved[n]
+
+    return resolve
 
 
 def _cmd_speed(args, config: Config) -> int:
     a = args.a
-    digits = args.digits or config.digits
     if args.height is not None:
-        v = speed_at_height(a, args.height, digits)
+        v = speed_at_height(a, args.height, args.digits or config.digits)
         heights = [[args.height, v]]
     else:
-        v = constant_speed(a, start_digits=digits)
         profile = speed_profile(a, max(min(digit_length(a), 61) + 3, 4))
+        v = profile.constant_speed
         heights = [[e.height, e.speed] for e in profile.entries]
     fmt = "json" if args.json else config.output
     if fmt == "json":
-        print(_dump_json({"a": str(a), "V": v, "heights": heights}))
+        print(json.dumps({"a": str(a), "V": v, "heights": heights}))
     elif fmt == "csv":
         _print_csv([[a, v]], ["a", "V"])
     else:
@@ -130,7 +141,7 @@ def _cmd_profile(args, config: Config) -> int:
     rows = [[e.height, e.frozen, e.speed] for e in profile.entries]
     if config.output == "json":
         print(
-            _dump_json(
+            json.dumps(
                 {
                     "a": str(args.a),
                     "precision": profile.precision_digits,
@@ -155,7 +166,7 @@ def _cmd_min_base(args, config: Config) -> int:
     else:
         value = classes.min_base(args.n)
     if config.output == "json":
-        print(_dump_json({"n": args.n, "s1": args.s1, "value": str(value)}))
+        print(json.dumps({"n": args.n, "s1": args.s1, "value": str(value)}))
     elif config.output == "csv":
         _print_csv([[args.n, args.s1, value]], ["n", "s1", "value"])
     else:
@@ -171,7 +182,7 @@ def _cmd_class(args, config: Config) -> int:
         if len(members) == args.count:
             break
     if config.output == "json":
-        print(_dump_json({"s1": args.s1, "n": args.n, "members": [str(v) for v in members]}))
+        print(json.dumps({"s1": args.s1, "n": args.n, "members": [str(v) for v in members]}))
     elif config.output == "csv":
         _print_csv([[v] for v in members], ["member"])
     else:
@@ -184,17 +195,16 @@ def _cmd_root(args, config: Config) -> int:
     res = decadic.root_residue(args.i, args.digits)
     text = f"{res.value:0{args.digits}d}"
     if config.output == "json":
-        print(_dump_json({"root": args.i, "digits": args.digits, "value": text}))
+        print(json.dumps({"root": args.i, "digits": args.digits, "value": text}))
     else:
         print(text)
     return EXIT_OK
 
 
 def _cmd_q(args, config: Config) -> int:
-    cache_path = args.cache or config.cache_path
-    rec = _cached_search(args.n, cache_path, args.budget)
+    rec = _resolver(args.cache, args.budget)(args.n)
     if config.output == "json":
-        print(_dump_json(_record_dict(rec)))
+        print(json.dumps(_record_dict(rec)))
     elif config.output == "csv":
         _print_csv([[rec.n, rec.q, rec.method, rec.oracle_checked]],
                    ["n", "q", "method", "oracle_checked"])
@@ -207,7 +217,7 @@ def _cmd_table1(args, config: Config) -> int:
     rows = classes.table1_rows(args.max)
     if config.output == "json":
         print(
-            _dump_json(
+            json.dumps(
                 {
                     "rows": [
                         {"n": n, "class5": None if a5 is None else str(a5), "others": str(other)}
@@ -226,15 +236,13 @@ def _cmd_table1(args, config: Config) -> int:
 
 def _cmd_table2(args, config: Config) -> int:
     extra = tuple(int(x) for x in args.extra.split(",")) if args.extra else ()
-    cache_path = args.cache or config.cache_path
     indices = sorted(set(range(1, args.max + 1)) | set(extra))
-    records = [_cached_search(n, cache_path, args.budget) for n in indices]
-    flags = primes.non_monotonic_flags(
-        records, resolver=lambda n: _cached_search(n, cache_path, args.budget).q
-    )
+    resolve = _resolver(args.cache, args.budget)
+    records = [resolve(n) for n in indices]
+    flags = primes.non_monotonic_flags(records, resolver=lambda n: resolve(n).q)
     if config.output == "json":
         rows = [dict(_record_dict(r), non_monotonic=r.n in flags) for r in records]
-        print(_dump_json({"rows": rows}))
+        print(json.dumps({"rows": rows}))
     elif config.output == "csv":
         _print_csv(
             [[r.n, r.q, r.method, r.oracle_checked, r.n in flags] for r in records],
@@ -259,7 +267,7 @@ def _cmd_verify(args, config: Config) -> int:
     report = verify.sweep(2, args.sweep, precision=max(40, digits))
     payload = dict(report.to_dict(), fixture_ok=fixture_ok)
     if config.output == "json":
-        print(_dump_json(payload))
+        print(json.dumps(payload))
     else:
         print(f"phase-shift fixture: {'ok' if fixture_ok else 'MISMATCH'}")
         print(
@@ -374,7 +382,7 @@ def main(argv=None) -> int:
     except (UndefinedSpeedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except verify.FixtureMismatch as exc:
+    except (verify.FixtureMismatch, classes.FormulaMismatch, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
 

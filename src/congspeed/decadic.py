@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .arith import carmichael, Modulus
+from .arith import carmichael
 
 # Last digit of each root, indexed 1..13.
 ROOT_LAST_DIGIT = {
@@ -54,7 +54,7 @@ def idempotents(n: int) -> IdempotentPair:
     if n < 1:
         raise ValueError("n must be >= 1")
     m = 10**n
-    lam = carmichael(Modulus.ten_power(n))
+    lam = carmichael(m)
     h = pow(5, pow(2, n, lam) + lam, m)
     r = pow(2, pow(5, n, lam) + lam, m)
     return IdempotentPair(n, h, r)
@@ -104,7 +104,7 @@ def unit_root_pow2_form(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     m = 10**n
-    lam = carmichael(Modulus.ten_power(n))
+    lam = carmichael(m)
     e = (4 * pow(5, n, lam) + 1) % lam + lam
     return (pow(2, e, m) - 1) % m
 

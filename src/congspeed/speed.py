@@ -138,6 +138,37 @@ def _stable_speed(nus: list, floor_b: int) -> int | None:
     return None
 
 
+def _auto_digits(a: int) -> int:
+    return max(64, 8 * (min(arith.digit_length(a), _FLOOR_LENGTH_CAP) + 8))
+
+
+def _settle(a: int, digits: int, b_max: int = 0, strict: bool = False) -> tuple[int, list]:
+    """(V(a), nus) for a > 1, nus exact over at least max(b_hi, b_max) heights.
+
+    Precision starts at `digits` and doubles until every nu in the table
+    lies MARGIN digits below it; with `strict`, a nu among the first b_max
+    heights that reaches the starting precision raises PrecisionError
+    instead.  Heights grow in steps of 3 until three consecutive heights at
+    or after len(a) + 3 agree.
+    """
+    length = min(arith.digit_length(a), _FLOOR_LENGTH_CAP)
+    floor_b = length + 3
+    b_hi = max(max(floor_b, 4) + _EXTRA_HEIGHTS, b_max)
+    while True:
+        nus = _frozen_table(a, b_hi, digits)
+        if any(nu is None or nu >= digits - MARGIN for nu in nus):
+            if strict and None in nus[:b_max]:
+                raise PrecisionError(f"increase digits (working precision {digits} exhausted)")
+            digits *= 2
+            continue
+        v = _stable_speed(nus, floor_b)
+        if v is not None:
+            return v, nus
+        b_hi += 3
+        if b_hi > length + 64:
+            raise PrecisionError(f"speed of {a} did not stabilize by height {b_hi}")
+
+
 def constant_speed(a: int, start_digits: int | None = None) -> int:
     """The constant congruence speed V(a).
 
@@ -150,21 +181,7 @@ def constant_speed(a: int, start_digits: int | None = None) -> int:
     _require_valid_base(a)
     if a == 1:
         return 0
-    length = min(arith.digit_length(a), _FLOOR_LENGTH_CAP)
-    digits = start_digits if start_digits else max(64, 8 * (length + 8))
-    floor_b = length + 3
-    b_hi = max(floor_b, 4) + _EXTRA_HEIGHTS
-    while True:
-        nus = _frozen_table(a, b_hi, digits)
-        if any(nu is None or nu >= digits - MARGIN for nu in nus):
-            digits *= 2
-            continue
-        v = _stable_speed(nus, floor_b)
-        if v is not None:
-            return v
-        b_hi += 3
-        if b_hi > length + 64:  # pragma: no cover - safety net
-            raise RuntimeError(f"speed of {a} did not stabilize by height {b_hi}")
+    return _settle(a, start_digits or _auto_digits(a))[0]
 
 
 def speed_profile(a: int, b_max: int, digits: int | None = None) -> SpeedProfile:
@@ -172,7 +189,8 @@ def speed_profile(a: int, b_max: int, digits: int | None = None) -> SpeedProfile
 
     With explicit digits the profile is computed at exactly that precision
     and raises PrecisionError when it does not suffice; otherwise precision
-    is chosen (and grown) automatically.
+    is the smallest doubling of the automatic start that resolves every
+    height.
     """
     _require_valid_base(a)
     if b_max < 1:
@@ -181,18 +199,12 @@ def speed_profile(a: int, b_max: int, digits: int | None = None) -> SpeedProfile
     if a == 1:
         entries = tuple(ProfileEntry(b, None, 0) for b in range(1, b_max + 1))
         return SpeedProfile(base, digits or 64, entries, 0)
-    strict = digits is not None
-    n = digits if digits else max(64, 8 * (min(base.length, _FLOOR_LENGTH_CAP) + 8))
-    while True:
-        nus = _frozen_table(a, b_max, n)
-        if any(nu is None for nu in nus):
-            if strict:
-                raise PrecisionError(f"increase digits (working precision {n} exhausted)")
-            n *= 2
-            continue
-        break
+    n = digits or _auto_digits(a)
+    const, nus = _settle(a, n, b_max, strict=digits is not None)
+    nus = nus[:b_max]
+    while max(nus) >= n:
+        n *= 2
     entries = [ProfileEntry(1, nus[0], nus[0])]
     for b in range(2, b_max + 1):
         entries.append(ProfileEntry(b, nus[b - 1], nus[b - 1] - nus[b - 2]))
-    const = constant_speed(a, start_digits=n)
     return SpeedProfile(base, n, tuple(entries), const)

@@ -1,0 +1,93 @@
+"""Recursive power-tower evaluator, the reference for `arith.tower_residues`.
+
+The package computes towers with one iterative table over the Carmichael
+chain.  This module evaluates the same towers top-down, one modulus at a
+time, so the tests can compare the two.  `exact_tetration` gives exact
+values for the few towers small enough to write out.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+
+from congspeed.arith import (
+    _exact_towers_capped,
+    CLAMP_THRESHOLD,
+    carmichael,
+    digit_length,
+    valuation,
+)
+
+
+@dataclass(frozen=True)
+class ClampedExponent:
+    """A tower exponent prepared for use modulo some m.
+
+    When is_large is false, residue is the exact exponent.  When true, the
+    exact exponent exceeds the evaluation threshold and residue is its value
+    modulo lambda(m); the consumer must add lambda(m) back before
+    exponentiating.
+    """
+
+    residue: int
+    is_large: bool
+
+
+@functools.lru_cache(maxsize=None)
+def _lambda_int(m: int) -> int:
+    return carmichael(m)
+
+
+def tower_exponent(a: int, b: int, m: int) -> ClampedExponent:
+    """The tower ^b a prepared as an exponent for reduction modulo m."""
+    cap = max(CLAMP_THRESHOLD, valuation(2, m), valuation(5, m))
+    return _tower_exponent(a, b, m, cap)
+
+
+def _tower_exponent(a: int, b: int, m: int, cap: int) -> ClampedExponent:
+    if b == 1:
+        # The base itself is always available exactly.
+        return ClampedExponent(a, False)
+    exact = _exact_towers_capped(a, b, cap)[b]
+    if exact is not None:
+        return ClampedExponent(exact, False)
+    lam = _lambda_int(m)
+    return ClampedExponent(_tower_mod(a, b, lam, cap), True)
+
+
+def _tower_mod(a: int, b: int, m: int, cap: int) -> int:
+    if m == 1:
+        return 0
+    if b == 1:
+        return a % m
+    e = _tower_exponent(a, b - 1, m, cap)
+    if e.is_large:
+        lam = _lambda_int(m)
+        return pow(a, e.residue + lam, m)
+    return pow(a, e.residue, m)
+
+
+def tower_residue(a: int, b: int, digits: int) -> int:
+    """^b a mod 10^digits."""
+    if a < 1 or b < 1 or digits < 1:
+        raise ValueError("tower_residue requires a, b, digits >= 1")
+    cap = max(CLAMP_THRESHOLD, digits)
+    return _tower_mod(a, b, 10**digits, cap)
+
+
+def exact_tetration(a: int, b: int, max_digits: int) -> int:
+    """Exact value of ^b a, provided it has at most max_digits digits."""
+    if a < 1 or b < 1 or max_digits < 1:
+        raise ValueError("exact_tetration requires a, b, max_digits >= 1")
+    if a == 1:
+        return 1
+    bit_cap = max_digits * 10 // 3 + 8
+    v = a
+    for _ in range(b - 1):
+        if v * max(a.bit_length() - 1, 1) > bit_cap:
+            raise OverflowError("exact tower too large")
+        v = a**v
+        if digit_length(v) > max_digits:
+            raise OverflowError("exact tower too large")
+    return v

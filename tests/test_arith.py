@@ -3,19 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from congspeed.arith import (
-    carmichael,
-    ClampedExponent,
-    digit_length,
-    exact_tetration,
-    lambda_chain,
-    Modulus,
-    pow_mod,
-    tower_exponent,
-    tower_residue,
-    tower_residues,
-    valuation,
-)
+from congspeed.arith import carmichael, digit_length, lambda_chain, tower_residues, valuation
+from reference_tower import ClampedExponent, exact_tetration, tower_exponent, tower_residue
 
 
 def trial_factor(x):
@@ -90,19 +79,19 @@ class TestDigitLength:
 
 class TestCarmichael:
     def test_fixtures(self):
-        assert carmichael(Modulus.ten_power(1)) == 4
-        assert carmichael(Modulus.ten_power(2)) == 20
-        assert carmichael(Modulus.ten_power(5)) == 5000
+        assert carmichael(10) == 4
+        assert carmichael(100) == 20
+        assert carmichael(10**5) == 5000
 
     @pytest.mark.parametrize(
         "i,j", [(0, 0), (1, 0), (2, 0), (3, 0), (5, 0), (0, 1), (0, 3), (1, 1), (2, 2), (4, 2), (3, 3)]
     )
     def test_against_brute_force(self, i, j):
-        m = Modulus.from_exponents(i, j)
-        if m.value == 1:
+        m = 2**i * 5**j
+        if m == 1:
             assert carmichael(m) == 1
         else:
-            assert carmichael(m) == brute_carmichael(m.value)
+            assert carmichael(m) == brute_carmichael(m)
 
     def test_int_convenience(self):
         assert carmichael(100) == 20
@@ -111,22 +100,24 @@ class TestCarmichael:
 
 
 class TestModulus:
+    """Moduli are plain ints 2^i * 5^j; carmichael reads (i, j) off the value."""
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Modulus(12, 2, 0)
-        with pytest.raises(ValueError):
-            Modulus(10, -1, 1)
+        for bad in (12, 3, 0, -10):
+            with pytest.raises(ValueError):
+                carmichael(bad)
 
     def test_from_value(self):
-        m = Modulus.from_value(4000)
-        assert (m.two_exp, m.five_exp) == (5, 3)
+        # 4000 = 2^5 * 5^3, so lambda = lcm(2^3, 4 * 5^2) = 200
+        assert (valuation(2, 4000), valuation(5, 4000)) == (5, 3)
+        assert carmichael(4000) == 200 == brute_carmichael(4000)
 
 
 class TestPowMod:
     def test_fixtures(self):
-        assert pow_mod(2, 101, Modulus.ten_power(2)) == 52
-        assert pow_mod(7, 0, Modulus.ten_power(1)) == 1
-        assert pow_mod(5, 4, 100) == 25
+        assert pow(2, 101, 100) == 52
+        assert pow(7, 0, 10) == 1
+        assert pow(5, 4, 100) == 25
 
     @given(
         st.integers(1, 10**9),
@@ -137,13 +128,13 @@ class TestPowMod:
     @settings(max_examples=80, deadline=None)
     def test_clamp_identity(self, a, k, i, j):
         # a^(lam+k) = a^(2lam+k) (mod m) once lam + k exceeds log2(m).
-        m = Modulus.from_exponents(i, j)
-        if m.value == 1:
+        m = 2**i * 5**j
+        if m == 1:
             return
         lam = carmichael(m)
-        if lam + k < m.value.bit_length():
-            k += m.value.bit_length()
-        assert pow_mod(a, lam + k, m) == pow_mod(a, 2 * lam + k, m)
+        if lam + k < m.bit_length():
+            k += m.bit_length()
+        assert pow(a, lam + k, m) == pow(a, 2 * lam + k, m)
 
 
 class TestLambdaChain:
@@ -153,15 +144,14 @@ class TestLambdaChain:
         assert chain[1] == 5000
         assert chain[-1] == 1
         for prev, nxt in zip(chain, chain[1:]):
-            assert nxt == carmichael(Modulus.from_value(prev))
+            assert nxt == carmichael(prev)
 
     def test_link_dominates_exponents(self):
         # Needed so a clamped exponent stays valid at every depth.
         for n in (1, 2, 3, 10, 50, 200):
             for prev, nxt in zip(lambda_chain(n), lambda_chain(n)[1:]):
-                m = Modulus.from_value(prev)
                 if prev > 1:
-                    assert nxt >= max(m.two_exp, m.five_exp)
+                    assert nxt >= max(valuation(2, prev), valuation(5, prev))
 
 
 class TestTower:
@@ -206,7 +196,7 @@ class TestTower:
     def test_clamped_exponent_invariant(self):
         e = tower_exponent(2, 3, 10**12)
         assert e == ClampedExponent(16, False)
-        lam = carmichael(Modulus.from_value(10**12))
+        lam = carmichael(10**12)
         e = tower_exponent(2, 4, 10**12)
         assert e.is_large and e.residue == 65536 % lam
         e = tower_exponent(3, 3, 10**12)

@@ -244,6 +244,11 @@ class TestSpeedByFormula:
         with pytest.raises(UndefinedSpeedError):
             speed_by_formula(100)
 
+    def test_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(classes, "_formula_value", lambda a: 4)
+        with pytest.raises(classes.FormulaMismatch, match="membership gives 3"):
+            speed_by_formula(807)
+
 
 class TestMembership:
     def test_unique_class_small_range(self):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from congspeed import cli
+from congspeed import arith, classes, cli, speed
 
 
 def run(capsys, *argv):
@@ -125,8 +125,18 @@ class TestCache:
         path = tmp_path / "q.jsonl"
         path.write_text('{"n": 5, "q": "22945", "method": "deterministic-small", '
                         '"oracle_checked": true}\n')
-        with pytest.raises(RuntimeError, match="verification"):
-            cli.main(["q", "5", "--cache", str(path)])
+        assert cli.main(["q", "5", "--cache", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "verification" in err[0]
+
+    def test_torn_line_is_3(self, capsys, tmp_path):
+        path = tmp_path / "q.jsonl"
+        path.write_text('{"n": 3, "q": "193", "method": "deterministic-small", '
+                        '"oracle_checked": true}\n{"n": 5, "q": "229')
+        assert cli.main(["q", "3", "--cache", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f"{path}:2:" in err[0]
 
 
 class TestExitCodes:
@@ -155,6 +165,19 @@ class TestExitCodes:
     def test_bad_base_is_2(self, capsys):
         assert cli.main(["speed", "40"]) == 2
 
+    def test_formula_mismatch_is_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(classes, "_formula_value", lambda a: 5)
+        assert cli.main(["q", "3"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_unsettled_speed_is_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(speed, "_frozen_table", lambda a, b_max, digits: [0] * b_max)
+        monkeypatch.setattr(speed, "_stable_speed", lambda nus, floor_b: None)
+        assert cli.main(["speed", "7"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "did not stabilize" in err[0]
+
 
 class TestEnvDigits:
     def test_env_overrides_default(self, capsys, monkeypatch):
@@ -167,3 +190,33 @@ class TestEnvDigits:
         with pytest.raises(SystemExit) as exc:
             cli.main(["speed", "2"])
         assert exc.value.code == 2
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestWorkCounts:
+    def test_speed_builds_at_most_two_tables(self, capsys, monkeypatch):
+        calls = _counting(monkeypatch, arith, "tower_residues")
+        assert run(capsys, "speed", "163574218751") == (0, "13\n")
+        assert len(calls) <= 2
+
+    def test_table2_reads_cache_once(self, capsys, monkeypatch, tmp_path):
+        calls = _counting(monkeypatch, cli, "_load_cache")
+        path = str(tmp_path / "q.jsonl")
+        argv = ["table2", "--max", "21", "--extra", "51,52,53,54", "--cache", path]
+        code, cold = run(capsys, *argv)
+        assert code == 0 and len(calls) == 1
+        marked = [line.split()[0] for line in cold.splitlines() if line.endswith("*")]
+        assert marked == ["20", "51", "54"]
+        assert run(capsys, *argv) == (0, cold)
+        assert len(calls) == 2

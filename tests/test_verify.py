@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from congspeed import verify
+from congspeed import classes, verify
+from congspeed.speed import constant_speed
 from congspeed.verify import (
     FixtureMismatch,
     phase_shift_fixture,
@@ -14,7 +16,6 @@ class TestSweep:
     def test_small_range_clean(self):
         report = sweep(2, 1500, 40)
         assert report.mismatches == []
-        assert report.conjecture_violations == []
         assert report.ok
         assert (report.a_min, report.a_max, report.precision) == (2, 1500, 40)
 
@@ -32,7 +33,26 @@ class TestSweep:
         report = sweep(2, 30, 40)
         d = report.to_dict()
         assert d["a_min"] == 2 and d["a_max"] == 30
-        assert d["mismatches"] == [] and d["conjecture_violations"] == []
+        assert d["mismatches"] == []
+
+    def test_raw_formula_mismatch_reported(self, monkeypatch):
+        # A wrong formula value must surface as a mismatch, not be repaired
+        # by class membership.
+        true_value = classes._formula_value
+        monkeypatch.setattr(classes, "_formula_value",
+                            lambda a: 9 if a == 807 else true_value(a))
+        report = sweep(800, 810, 40)
+        assert report.mismatches == [(807, 3, 9, 3)]
+        assert not report.ok
+
+    @given(st.integers(7, 15).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - 1)))
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    def test_long_bases_agree(self, a):
+        if a % 10 == 0:
+            a += 1
+        v = constant_speed(a)
+        assert classes._formula_value(a) == v
+        assert classes.speed_by_membership(a) == v
 
 
 class TestStabilizationProbe:
