@@ -1,14 +1,15 @@
 """Exact arithmetic over moduli of the form 2^i * 5^j.
 
 Everything in this module is integer arithmetic; decimal digit counts are
-the only size parameters.  Power towers are evaluated modulo 10^n by
-descending the Carmichael chain m, lambda(m), lambda(lambda(m)), ... and
-clamping exponents with the identity
+the only size parameters.  Power towers are evaluated modulo 2^n and 5^n
+apart, each by descending its own Carmichael chain m, lambda(m),
+lambda(lambda(m)), ... and clamping exponents with the identity
 
-    a^e = a^((e mod lambda(m)) + lambda(m))   (mod m),
+    a^e = a^((e mod L) + L)   (mod m),   L a multiple of lambda(m),
 
-which holds for every a (coprime or not) as soon as the true exponent e is
-at least the largest prime-power exponent of m.
+which holds for every a (coprime or not) as soon as the true exponent e and
+L are at least the largest prime-power exponent of m.  The two residues are
+recombined into the residue modulo 10^n by the Chinese remainder theorem.
 """
 
 from __future__ import annotations
@@ -76,25 +77,37 @@ def carmichael(m: int) -> int:
     return 2**i2 * 5**j2
 
 
-@functools.lru_cache(maxsize=None)
-def lambda_chain(digits: int) -> tuple[int, ...]:
-    """The chain 10^digits, lambda(10^digits), ..., 1 as plain integers.
+def _carmichael_chain(i: int, j: int) -> tuple[int, ...]:
+    """The chain 2^i * 5^j, then each link's lambda (or a multiple), down to 1.
 
-    Every link satisfies lambda(m) >= max prime-power exponent of m, the
-    precondition for clamped tower exponentiation along the chain.
+    Every link is a multiple of lambda of the link before it and at least
+    that link's largest prime-power exponent, the precondition for clamped
+    tower exponentiation along the chain.  Only lambda(2^3) = 2 falls below
+    its exponent 3; the chain takes its multiple 4 there.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    i, j = digits, digits
     chain = [2**i * 5**j]
     while chain[-1] > 1:
         i2, j2 = _lambda_exponents(i, j)
-        nxt = 2**i2 * 5**j2
-        if nxt < max(i, j):  # pragma: no cover - structural guarantee
-            raise AssertionError("lambda chain too small for exponent clamping")
-        chain.append(nxt)
+        while 2**i2 * 5**j2 < max(i, j):
+            i2 += 1
+        chain.append(2**i2 * 5**j2)
         i, j = i2, j2
     return tuple(chain)
+
+
+@functools.lru_cache(maxsize=None)
+def lambda_chain(digits: int) -> tuple[int, ...]:
+    """The chain 10^digits, lambda(10^digits), ..., 1 as plain integers."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    return _carmichael_chain(digits, digits)
+
+
+@functools.lru_cache(maxsize=None)
+def _side_chains(digits: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The chains from 2^digits and from 5^digits, and 5^-digits mod 2^digits."""
+    two, five = _carmichael_chain(digits, 0), _carmichael_chain(0, digits)
+    return two, five, pow(five[0], -1, two[0])
 
 
 def _exact_towers_capped(a: int, levels: int, cap: int) -> list:
@@ -127,18 +140,22 @@ def _exact_towers_capped(a: int, levels: int, cap: int) -> list:
     return vals
 
 
-def tower_residues(a: int, b_max: int, digits: int) -> list[int]:
-    """Residues of ^1 a .. ^b_max a modulo 10^digits.
+def _side_residues(a: int, p: int, b_max: int, chain: tuple[int, ...], exact: list) -> list[int]:
+    """Residues of ^1 a .. ^b_max a modulo chain[0] = p^n, p in {2, 5}.
 
-    Iterative table over the Carmichael chain: the height-b residue at chain
-    depth d is derived from the height-(b-1) residue at depth d+1, so the
-    whole column of heights costs O(b_max^2) modular powers at worst.
+    Iterative table over the chain: the height-b residue at chain depth d is
+    derived from the height-(b-1) residue at depth d+1, so the whole column
+    of heights costs O(b_max^2) modular powers at worst.  When p divides a,
+    every tower whose exponent is past the exact cap (>= n) is 0 mod p^n,
+    so only the exact heights take a power and no table is built.
     """
-    if a < 1 or b_max < 1 or digits < 1:
-        raise ValueError("tower_residues requires a, b_max, digits >= 1")
-    chain = lambda_chain(digits)
-    cap = max(CLAMP_THRESHOLD, digits)
-    exact = _exact_towers_capped(a, max(b_max - 1, 1), cap)
+    if a % p == 0:
+        top = chain[0]
+        out = [a % top]
+        for b in range(2, b_max + 1):
+            e = exact[b - 1]
+            out.append(0 if e is None else pow(out[0], e, top))
+        return out
     mods = [chain[d] if d < len(chain) else 1 for d in range(b_max)]
     amod = [a % m if m > 1 else 0 for m in mods]
     row = amod[:]
@@ -159,3 +176,20 @@ def tower_residues(a: int, b_max: int, digits: int) -> list[int]:
         row = new
         results.append(row[0])
     return results
+
+
+def tower_residues(a: int, b_max: int, digits: int) -> list[int]:
+    """Residues of ^1 a .. ^b_max a modulo 10^digits.
+
+    The towers are evaluated modulo 2^digits and 5^digits, each along its
+    own Carmichael chain, and recombined by the Chinese remainder theorem.
+    """
+    if a < 1 or b_max < 1 or digits < 1:
+        raise ValueError("tower_residues requires a, b_max, digits >= 1")
+    two, five, inv = _side_chains(digits)
+    cap = max(CLAMP_THRESHOLD, digits)
+    exact = _exact_towers_capped(a, max(b_max - 1, 1), cap)
+    m2, m5 = two[0], five[0]
+    r2 = _side_residues(a, 2, b_max, two, exact)
+    r5 = _side_residues(a, 5, b_max, five, exact)
+    return [y + m5 * ((x - y) * inv % m2) for x, y in zip(r2, r5)]

@@ -19,9 +19,14 @@ import sys
 from dataclasses import dataclass
 
 from . import classes, decadic, primes, verify
-from .arith import digit_length
 from .primes import PrimeSpeedRecord
-from .speed import PrecisionError, UndefinedSpeedError, speed_at_height, speed_profile
+from .speed import (
+    PrecisionError,
+    UndefinedSpeedError,
+    speed_at_height,
+    speed_profile,
+    stabilization_floor,
+)
 
 ENV_DIGITS = "TCS_DIGITS"
 EXIT_OK = 0
@@ -122,7 +127,7 @@ def _cmd_speed(args, config: Config) -> int:
         v = speed_at_height(a, args.height, args.digits or config.digits)
         heights = [[args.height, v]]
     else:
-        profile = speed_profile(a, max(min(digit_length(a), 61) + 3, 4))
+        profile = speed_profile(a, stabilization_floor(a))
         v = profile.constant_speed
         heights = [[e.height, e.speed] for e in profile.entries]
     fmt = "json" if args.json else config.output

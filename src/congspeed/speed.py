@@ -138,6 +138,12 @@ def _stable_speed(nus: list, floor_b: int) -> int | None:
     return None
 
 
+def stabilization_floor(a: int) -> int:
+    """The lowest height at which a settled speed is accepted: len(a) + 3,
+    with the length capped at _FLOOR_LENGTH_CAP."""
+    return min(arith.digit_length(a), _FLOOR_LENGTH_CAP) + 3
+
+
 def _auto_digits(a: int) -> int:
     return max(64, 8 * (min(arith.digit_length(a), _FLOOR_LENGTH_CAP) + 8))
 
@@ -151,9 +157,8 @@ def _settle(a: int, digits: int, b_max: int = 0, strict: bool = False) -> tuple[
     instead.  Heights grow in steps of 3 until three consecutive heights at
     or after len(a) + 3 agree.
     """
-    length = min(arith.digit_length(a), _FLOOR_LENGTH_CAP)
-    floor_b = length + 3
-    b_hi = max(max(floor_b, 4) + _EXTRA_HEIGHTS, b_max)
+    floor_b = stabilization_floor(a)
+    b_hi = max(floor_b + _EXTRA_HEIGHTS, b_max)
     while True:
         nus = _frozen_table(a, b_hi, digits)
         if any(nu is None or nu >= digits - MARGIN for nu in nus):
@@ -165,7 +170,7 @@ def _settle(a: int, digits: int, b_max: int = 0, strict: bool = False) -> tuple[
         if v is not None:
             return v, nus
         b_hi += 3
-        if b_hi > length + 64:
+        if b_hi > floor_b + 61:
             raise PrecisionError(f"speed of {a} did not stabilize by height {b_hi}")
 
 

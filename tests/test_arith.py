@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from congspeed import arith
 from congspeed.arith import carmichael, digit_length, lambda_chain, tower_residues, valuation
 from reference_tower import ClampedExponent, exact_tetration, tower_exponent, tower_residue
 
@@ -201,6 +202,59 @@ class TestTower:
         assert e.is_large and e.residue == 65536 % lam
         e = tower_exponent(3, 3, 10**12)
         assert e.is_large and e.residue == 3**27 % lam
+
+
+def _is_power_of(p, m):
+    return m == p ** valuation(p, m)
+
+
+class TestCrtSplit:
+    """The table runs modulo 2^n and 5^n on separate chains, joined by CRT."""
+
+    BASES = (2, 5, 7, 12, 25, 143, 250, 2**50, 5**30, 143**625)
+
+    @pytest.mark.parametrize("digits", [1, 2, 3, 4, 5, 6, 7, 25, 40, 41, 81])
+    def test_matches_recursive(self, digits):
+        # Odd digit counts put 2^3 on the 2-side chain.  Its link matters
+        # only to even bases, whose 2-side takes the p | a shortcut instead.
+        for a in self.BASES:
+            got = tower_residues(a, 6, digits)
+            assert got == [tower_residue(a, b, digits) for b in range(1, 7)], a
+
+    @given(st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_side_chain_links(self, n):
+        two, five, inv = arith._side_chains(n)
+        assert (two[0], five[0], two[-1], five[-1]) == (2**n, 5**n, 1, 1)
+        assert five[0] * inv % two[0] == 1 % two[0]
+        for chain in (two, five, lambda_chain(n)):
+            for prev, nxt in zip(chain, chain[1:]):
+                assert nxt % carmichael(prev) == 0
+                assert nxt >= max(valuation(2, prev), valuation(5, prev))
+
+    def test_two_side_skips_lambda_of_8(self):
+        # lambda(8) = 2 < 3; the chain takes 4 instead
+        assert arith._side_chains(5)[0] == (32, 8, 4, 2, 1)
+        assert arith._side_chains(3)[1] == (125, 100, 20, 4, 2, 1)
+
+    @pytest.mark.parametrize("a,p", [(2**20, 2), (5 * 7**9, 5)])
+    def test_divisible_side_takes_no_clamped_pow(self, monkeypatch, a, p):
+        # Only moduli p^k with k >= 3 are the p-side's alone: the 5-side
+        # chain ends in 4, 2.  With p | a that side takes one exact power
+        # (height 2, exponent a) and every taller tower is 0 mod p^40.
+        calls = []
+
+        def counting(base, exp, mod):
+            calls.append((exp, mod))
+            return pow(base, exp, mod)
+
+        arith._side_chains(40)  # cached first, so its CRT inverse is not counted
+        monkeypatch.setattr(arith, "pow", counting, raising=False)
+        got = tower_residues(a, 9, 40)
+        assert got == [tower_residue(a, b, 40) for b in range(1, 10)]
+        own = [(e, m) for e, m in calls if m >= p**3 and _is_power_of(p, m)]
+        assert own == [(a, p**40)]
+        assert len(calls) > 1  # the other side still builds its table
 
 
 class TestExactTetration:

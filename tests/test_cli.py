@@ -44,6 +44,21 @@ class TestJson:
         # byte-identical re-serialization
         assert json.dumps(obj) + "\n" == out
 
+    @pytest.mark.parametrize(
+        "a,speeds",
+        [
+            ("807", [0, 4, 4, 4, 4, 3]),
+            ("12345678901234567891", [2] + [1] * 22),
+            # 70 digits: the floor caps at height 61 + 3
+            ("1234567895" * 7, [1, 6] + [3] * 62),
+        ],
+    )
+    def test_speed_json_heights(self, capsys, a, speeds):
+        code, out = run(capsys, "speed", a, "--json")
+        assert code == 0
+        assert json.loads(out)["heights"] == [[b, v] for b, v in enumerate(speeds, 1)]
+        assert len(speeds) == speed.stabilization_floor(int(a))
+
     def test_profile_json(self, capsys):
         code, out = run(capsys, "--output", "json", "profile", "2", "--max-height", "5",
                         "--digits", "20")
