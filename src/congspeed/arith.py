@@ -120,10 +120,6 @@ def _exact_towers_capped(a: int, levels: int, cap: int) -> list:
     if levels < 1:
         return vals
     vals[1] = a
-    if a == 1:
-        for k in range(2, levels + 1):
-            vals[k] = 1
-        return vals
     for k in range(2, levels + 1):
         p = vals[k - 1]
         if p is None or p > cap:

@@ -43,8 +43,6 @@ class Config:
     def __post_init__(self):
         if self.digits < 16:
             raise ValueError("working precision must be at least 16 digits")
-        if self.output not in ("text", "json", "csv"):
-            raise ValueError(f"unknown output format {self.output!r}")
 
 
 def _default_digits() -> int:
@@ -241,9 +239,8 @@ def _cmd_table1(args, config: Config) -> int:
 
 def _cmd_table2(args, config: Config) -> int:
     extra = tuple(int(x) for x in args.extra.split(",")) if args.extra else ()
-    indices = sorted(set(range(1, args.max + 1)) | set(extra))
     resolve = _resolver(args.cache, args.budget)
-    records = [resolve(n) for n in indices]
+    records = primes.smallest_prime_table(args.max, extra, resolve)
     flags = primes.non_monotonic_flags(records, resolver=lambda n: resolve(n).q)
     if config.output == "json":
         rows = [dict(_record_dict(r), non_monotonic=r.n in flags) for r in records]
@@ -261,7 +258,6 @@ def _cmd_table2(args, config: Config) -> int:
 
 
 def _cmd_verify(args, config: Config) -> int:
-    digits = args.digits or max(40, config.digits)
     failures = []
     try:
         verify.phase_shift_fixture()
@@ -269,7 +265,7 @@ def _cmd_verify(args, config: Config) -> int:
     except verify.FixtureMismatch as exc:
         fixture_ok = False
         failures.append(str(exc))
-    report = verify.sweep(2, args.sweep, precision=max(40, digits))
+    report = verify.sweep(2, args.sweep, precision=max(40, args.digits or config.digits))
     payload = dict(report.to_dict(), fixture_ok=fixture_ok)
     if config.output == "json":
         print(json.dumps(payload))
@@ -287,15 +283,9 @@ def _cmd_verify(args, config: Config) -> int:
 
 
 def _cmd_oeis(args, config: Config) -> int:
-    if not args.min_bases:
-        raise UsageError("choose a sequence: --min-bases")
     for n in range(args.terms):
         print(f"{n} {classes.min_base(n)}")
     return EXIT_OK
-
-
-class UsageError(ValueError):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oeis", help="b-file export")
-    p.add_argument("--min-bases", action="store_true")
+    p.add_argument("--min-bases", action="store_true", required=True)
     p.add_argument("--terms", type=int, required=True)
     p.set_defaults(func=_cmd_oeis)
 
@@ -379,8 +369,6 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     try:
         return args.func(args, config)
-    except UsageError as exc:
-        parser.error(str(exc))
     except (PrecisionError, primes.SearchBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -211,13 +211,13 @@ def smallest_prime_with_speed(
 
 
 def smallest_prime_table(
-    n_max: int, extra: tuple = (), budget: int | None = None
+    n_max: int, extra: tuple = (), resolve=smallest_prime_with_speed
 ) -> list[PrimeSpeedRecord]:
-    """Records for n = 1..n_max plus any extra indices, ascending in n."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    """resolve(n) for n = 1..n_max plus any extra indices, ascending in n."""
     indices = sorted(set(range(1, n_max + 1)) | set(extra))
-    return [smallest_prime_with_speed(n, budget=budget) for n in indices]
+    if not indices:
+        raise ValueError("no indices: need n_max >= 1 or an extra index")
+    return [resolve(n) for n in indices]
 
 
 def non_monotonic_flags(records: list, resolver=None) -> set:

@@ -6,6 +6,11 @@ tower.  The speed at height b is nu(b) - nu(b-1), with nu(0) taken as 0 so
 the height-1 speed equals nu(1).  For every base not divisible by 10 the
 speed settles to a constant once the height is large enough; this module
 computes that constant by watching the per-height speeds stabilize.
+
+The tower residues are exact modulo 10^N, since clamping exponents along
+the Carmichael chain is an identity, so every nu below N read from them is
+the true valuation.  The one height N digits cannot resolve is where both
+towers agree in all N digits (None), and only that calls for more digits.
 """
 
 from __future__ import annotations
@@ -13,10 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import arith
-
-# nu values within this many digits of the working precision trigger a
-# precision doubling instead of being trusted.
-MARGIN = 8
 
 # Heights to compute beyond the earliest possible stabilization point.
 _EXTRA_HEIGHTS = 2
@@ -35,6 +36,10 @@ class UndefinedSpeedError(ValueError):
 
 class PrecisionError(RuntimeError):
     """The requested working precision cannot resolve the answer."""
+
+
+def _exhausted(digits: int) -> PrecisionError:
+    return PrecisionError(f"increase digits (working precision {digits} exhausted)")
 
 
 @dataclass(frozen=True)
@@ -116,9 +121,8 @@ def speed_at_height(a: int, b: int, digits: int) -> int:
     if a == 1:
         return 0
     nus = _frozen_table(a, b, digits)
-    for nu in nus[-2:]:
-        if nu is None or nu >= digits - MARGIN:
-            raise PrecisionError(f"increase digits (working precision {digits} exhausted)")
+    if None in nus[-2:]:
+        raise _exhausted(digits)
     if b == 1:
         return nus[0]
     return nus[b - 1] - nus[b - 2]
@@ -151,19 +155,19 @@ def _auto_digits(a: int) -> int:
 def _settle(a: int, digits: int, b_max: int = 0, strict: bool = False) -> tuple[int, list]:
     """(V(a), nus) for a > 1, nus exact over at least max(b_hi, b_max) heights.
 
-    Precision starts at `digits` and doubles until every nu in the table
-    lies MARGIN digits below it; with `strict`, a nu among the first b_max
-    heights that reaches the starting precision raises PrecisionError
-    instead.  Heights grow in steps of 3 until three consecutive heights at
-    or after len(a) + 3 agree.
+    Precision starts at `digits` and doubles until every height in the
+    table is resolved (no None); with `strict`, a None among the first
+    b_max heights at the starting precision raises PrecisionError instead.
+    Heights grow in steps of 3 until three consecutive heights at or after
+    len(a) + 3 agree.
     """
     floor_b = stabilization_floor(a)
     b_hi = max(floor_b + _EXTRA_HEIGHTS, b_max)
     while True:
         nus = _frozen_table(a, b_hi, digits)
-        if any(nu is None or nu >= digits - MARGIN for nu in nus):
+        if None in nus:
             if strict and None in nus[:b_max]:
-                raise PrecisionError(f"increase digits (working precision {digits} exhausted)")
+                raise _exhausted(digits)
             digits *= 2
             continue
         v = _stable_speed(nus, floor_b)
@@ -192,10 +196,10 @@ def constant_speed(a: int, start_digits: int | None = None) -> int:
 def speed_profile(a: int, b_max: int, digits: int | None = None) -> SpeedProfile:
     """Per-height table of frozen digits and speeds up to b_max.
 
-    With explicit digits the profile is computed at exactly that precision
-    and raises PrecisionError when it does not suffice; otherwise precision
-    is the smallest doubling of the automatic start that resolves every
-    height.
+    With explicit digits the profile raises PrecisionError when that
+    precision leaves a height up to b_max unresolved; the reported precision
+    is the smallest doubling of the start (explicit or automatic) that
+    resolves every height.
     """
     _require_valid_base(a)
     if b_max < 1:

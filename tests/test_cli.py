@@ -99,6 +99,14 @@ class TestTables:
         assert code == 0
         assert out.splitlines() == ["1 2", "2 5", "3 193", "4 1249"]
 
+    def test_table2_extra_only(self, capsys):
+        assert run(capsys, "table2", "--max", "0", "--extra", "3") == (0, "3 193\n")
+
+    def test_table2_no_indices_is_2(self, capsys):
+        assert cli.main(["table2", "--max", "0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_table2_csv(self, capsys):
         code, out = run(capsys, "--output", "csv", "table2", "--max", "3")
         lines = out.splitlines()
@@ -116,6 +124,11 @@ class TestOeis:
         code, out = run(capsys, "oeis", "--min-bases", "--terms", "6")
         assert code == 0
         assert out.splitlines() == ["0 1", "1 2", "2 5", "3 25", "4 15", "5 95"]
+
+    def test_sequence_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oeis", "--terms", "3"])
+        assert exc.value.code == 2
 
 
 class TestCache:
@@ -199,6 +212,11 @@ class TestEnvDigits:
         monkeypatch.setenv(cli.ENV_DIGITS, "96")
         code, out = run(capsys, "speed", "2")
         assert (code, out) == (0, "1\n")
+
+    def test_env_sets_working_precision(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_DIGITS, "96")
+        code, out = run(capsys, "--output", "json", "profile", "2", "--max-height", "5")
+        assert code == 0 and json.loads(out)["precision"] == 96
 
     def test_env_too_small_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.ENV_DIGITS, "8")

@@ -138,6 +138,13 @@ class TestSmallestPrime:
         recs = smallest_prime_table(4)
         assert [r.q for r in recs] == [2, 5, 193, 1249]
 
+    def test_table_takes_resolver(self):
+        seen = []
+        recs = smallest_prime_table(2, extra=(5, 2), resolve=lambda n: seen.append(n) or n)
+        assert recs == seen == [1, 2, 5]
+        with pytest.raises(ValueError):
+            smallest_prime_table(0)
+
 
 class TestNonMonotonicFlags:
     def test_detects_drop(self):

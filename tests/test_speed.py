@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from congspeed import arith
 from congspeed.speed import (
+    _frozen_table,
     constant_speed,
     frozen_digits,
     PrecisionError,
@@ -140,3 +143,40 @@ class TestStabilization:
         # A tower taller than its own base is always past stabilization.
         for a in (2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 25, 31, 49):
             assert speed_at_height(a, a + 1, 256) == constant_speed(a)
+
+
+class TestResolvedIsExact:
+    """A nu below the working precision is the true valuation, so only a
+    height where all working digits agree (None) asks for more digits."""
+
+    def test_resolved_near_precision_answers(self):
+        # nu(5) = 11 and nu(6) = 13 at 20 digits: resolved, hence exact
+        assert speed_at_height(499, 6, 20) == 2
+
+    def test_start_precision_resolves_without_doubling(self, monkeypatch):
+        calls = []
+        inner = arith.tower_residues
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(arith, "tower_residues", counting)
+        assert constant_speed(95, start_digits=40) == 5
+        assert len(calls) == 1
+
+    @given(
+        st.integers(2, 10**24).filter(lambda a: a % 10 != 0),
+        st.integers(1, 10),
+        st.integers(8, 32),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_resolved_nu_matches_triple_precision(self, a, b, n):
+        nus, wide = _frozen_table(a, b, n), _frozen_table(a, b, 3 * n)
+        for nu, ref in zip(nus, wide):
+            assert nu is None or nu == ref
+        if None in nus[-2:]:
+            with pytest.raises(PrecisionError):
+                speed_at_height(a, b, n)
+        else:
+            assert speed_at_height(a, b, n) == wide[-1] - (wide[-2] if b > 1 else 0)
