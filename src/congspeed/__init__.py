@@ -23,14 +23,7 @@ from .classes import (
     table1_rows,
     valuation_bound,
 )
-from .decadic import (
-    DecadicResidue,
-    idempotents,
-    IdempotentPair,
-    min_coprime_candidates,
-    root_residue,
-    sqrt_minus_one_mod5,
-)
+from .decadic import DecadicResidue, idempotents, IdempotentPair, root_residue
 from .primes import (
     is_prime,
     non_monotonic_flags,
@@ -44,7 +37,6 @@ from .primes import (
 )
 from .speed import (
     constant_speed,
-    frozen_digits,
     PrecisionError,
     speed_at_height,
     speed_profile,
@@ -52,14 +44,7 @@ from .speed import (
     TetrationBase,
     UndefinedSpeedError,
 )
-from .verify import (
-    FixtureMismatch,
-    phase_shift_fixture,
-    probe_repnine_stabilization,
-    probe_stabilization_height,
-    sweep,
-    SweepReport,
-)
+from .verify import FixtureMismatch, phase_shift_fixture, sweep, SweepReport
 
 __version__ = "0.1.0"
 
@@ -69,13 +54,11 @@ __all__ = [
     "min_base_class", "min_base_lift", "ProgressionFamily",
     "speed_by_formula", "speed_by_membership", "speed_one_residues",
     "table1_rows", "valuation_bound",
-    "DecadicResidue", "idempotents", "IdempotentPair",
-    "min_coprime_candidates", "root_residue", "sqrt_minus_one_mod5",
+    "DecadicResidue", "idempotents", "IdempotentPair", "root_residue",
     "is_prime", "non_monotonic_flags", "prime_speed_bounds",
     "PrimeSpeedRecord", "repnine_speed", "RepnineForm", "SearchBudgetError",
     "smallest_prime_table", "smallest_prime_with_speed",
-    "constant_speed", "frozen_digits", "PrecisionError", "speed_at_height",
+    "constant_speed", "PrecisionError", "speed_at_height",
     "speed_profile", "SpeedProfile", "TetrationBase", "UndefinedSpeedError",
-    "FixtureMismatch", "phase_shift_fixture", "probe_repnine_stabilization",
-    "probe_stabilization_height", "sweep", "SweepReport",
+    "FixtureMismatch", "phase_shift_fixture", "sweep", "SweepReport",
 ]

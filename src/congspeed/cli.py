@@ -1,4 +1,4 @@
-"""Command-line front end with text, JSON, and CSV output.
+"""Command-line front end; `--output` picks text, JSON or CSV for every command.
 
 Big integers are always serialized as decimal strings in JSON so output
 survives any consumer.  Every failure prints one `error:` line to stderr
@@ -13,10 +13,12 @@ and `profile` and the starting precision of `verify`; `speed` without
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import classes, decadic, primes, verify
 from .primes import PrimeSpeedRecord
@@ -50,10 +52,37 @@ def _default_digits() -> int:
     return int(raw) if raw else 64
 
 
-def _print_csv(rows, header):
-    print(",".join(header))
-    for row in rows:
-        print(",".join("" if v is None else str(v) for v in row))
+class Output(NamedTuple):
+    """A command's result in every format; `--output` picks which one prints."""
+
+    payload: object  # printed as JSON
+    header: list  # the CSV header line ...
+    rows: list  # ... and one CSV line per row
+    lines: list  # text lines
+    code: int = EXIT_OK
+
+
+def _write(out: Output, fmt: str) -> None:
+    if fmt == "json":
+        print(json.dumps(out.payload))
+    elif fmt == "csv":
+        print(",".join(out.header))
+        for row in out.rows:
+            print(",".join("" if v is None else str(v) for v in row))
+    else:
+        for line in out.lines:
+            print(line)
+
+
+def _count(text: str) -> int:
+    """argparse type for a count of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+_count.__name__ = "int"  # argparse names the type when int() rejects the text
 
 
 def _record_dict(rec: PrimeSpeedRecord) -> dict:
@@ -119,7 +148,7 @@ def _resolver(cache_path: str | None, budget: int | None):
     return resolve
 
 
-def _cmd_speed(args, config: Config) -> int:
+def _cmd_speed(args, config: Config) -> Output:
     a = args.a
     if args.height is not None:
         v = speed_at_height(a, args.height, args.digits or config.digits)
@@ -128,164 +157,104 @@ def _cmd_speed(args, config: Config) -> int:
         profile = speed_profile(a, stabilization_floor(a))
         v = profile.constant_speed
         heights = [[e.height, e.speed] for e in profile.entries]
-    fmt = "json" if args.json else config.output
-    if fmt == "json":
-        print(json.dumps({"a": str(a), "V": v, "heights": heights}))
-    elif fmt == "csv":
-        _print_csv([[a, v]], ["a", "V"])
-    else:
-        print(v)
-    return EXIT_OK
+    return Output({"a": str(a), "V": v, "heights": heights}, ["a", "V"], [[a, v]], [v])
 
 
-def _cmd_profile(args, config: Config) -> int:
+def _cmd_profile(args, config: Config) -> Output:
     digits = args.digits or config.digits
     profile = speed_profile(args.a, args.max_height, digits)
     rows = [[e.height, e.frozen, e.speed] for e in profile.entries]
-    if config.output == "json":
-        print(
-            json.dumps(
-                {
-                    "a": str(args.a),
-                    "precision": profile.precision_digits,
-                    "entries": rows,
-                    "V": profile.constant_speed,
-                }
-            )
-        )
-    elif config.output == "csv":
-        _print_csv(rows, ["height", "frozen", "speed"])
-    else:
-        print("# b frozen V")
-        for b, nu, v in rows:
-            print(f"{b} {'-' if nu is None else nu} {v}")
-        print(f"# constant {profile.constant_speed}")
-    return EXIT_OK
+    payload = {
+        "a": str(args.a),
+        "precision": profile.precision_digits,
+        "entries": rows,
+        "V": profile.constant_speed,
+    }
+    lines = ["# b frozen V"]
+    lines += [f"{b} {'-' if nu is None else nu} {v}" for b, nu, v in rows]
+    lines.append(f"# constant {profile.constant_speed}")
+    return Output(payload, ["height", "frozen", "speed"], rows, lines)
 
 
-def _cmd_min_base(args, config: Config) -> int:
+def _cmd_min_base(args, config: Config) -> Output:
     if args.s1 is not None:
         value = classes.min_base_class(args.s1, args.n)
     else:
         value = classes.min_base(args.n)
-    if config.output == "json":
-        print(json.dumps({"n": args.n, "s1": args.s1, "value": str(value)}))
-    elif config.output == "csv":
-        _print_csv([[args.n, args.s1, value]], ["n", "s1", "value"])
-    else:
-        print(value)
-    return EXIT_OK
+    return Output({"n": args.n, "s1": args.s1, "value": str(value)},
+                  ["n", "s1", "value"], [[args.n, args.s1, value]], [value])
 
 
-def _cmd_class(args, config: Config) -> int:
-    spec = classes.class_spec(args.s1, args.n)
-    members = []
-    for v in spec.members():
-        members.append(v)
-        if len(members) == args.count:
-            break
-    if config.output == "json":
-        print(json.dumps({"s1": args.s1, "n": args.n, "members": [str(v) for v in members]}))
-    elif config.output == "csv":
-        _print_csv([[v] for v in members], ["member"])
-    else:
-        for v in members:
-            print(v)
-    return EXIT_OK
+def _cmd_class(args, config: Config) -> Output:
+    members = list(itertools.islice(classes.class_spec(args.s1, args.n).members(), args.count))
+    return Output({"s1": args.s1, "n": args.n, "members": [str(v) for v in members]},
+                  ["member"], [[v] for v in members], members)
 
 
-def _cmd_root(args, config: Config) -> int:
+def _cmd_root(args, config: Config) -> Output:
     res = decadic.root_residue(args.i, args.digits)
     text = f"{res.value:0{args.digits}d}"
-    if config.output == "json":
-        print(json.dumps({"root": args.i, "digits": args.digits, "value": text}))
-    else:
-        print(text)
-    return EXIT_OK
+    return Output({"root": args.i, "digits": args.digits, "value": text},
+                  ["root", "digits", "value"], [[args.i, args.digits, text]], [text])
 
 
-def _cmd_q(args, config: Config) -> int:
+def _cmd_q(args, config: Config) -> Output:
     rec = _resolver(args.cache, args.budget)(args.n)
-    if config.output == "json":
-        print(json.dumps(_record_dict(rec)))
-    elif config.output == "csv":
-        _print_csv([[rec.n, rec.q, rec.method, rec.oracle_checked]],
-                   ["n", "q", "method", "oracle_checked"])
-    else:
-        print(rec.q)
-    return EXIT_OK
+    return Output(_record_dict(rec), ["n", "q", "method", "oracle_checked"],
+                  [[rec.n, rec.q, rec.method, rec.oracle_checked]], [rec.q])
 
 
-def _cmd_table1(args, config: Config) -> int:
+def _cmd_table1(args, config: Config) -> Output:
     rows = classes.table1_rows(args.max)
-    if config.output == "json":
-        print(
-            json.dumps(
-                {
-                    "rows": [
-                        {"n": n, "class5": None if a5 is None else str(a5), "others": str(other)}
-                        for n, a5, other in rows
-                    ]
-                }
-            )
-        )
-    elif config.output == "csv":
-        _print_csv(rows, ["n", "class5", "others"])
-    else:
-        for n, a5, other in rows:
-            print(f"{n} {'-' if a5 is None else a5} {other}")
-    return EXIT_OK
+    payload = {
+        "rows": [
+            {"n": n, "class5": None if a5 is None else str(a5), "others": str(other)}
+            for n, a5, other in rows
+        ]
+    }
+    lines = [f"{n} {'-' if a5 is None else a5} {other}" for n, a5, other in rows]
+    return Output(payload, ["n", "class5", "others"], rows, lines)
 
 
-def _cmd_table2(args, config: Config) -> int:
+def _cmd_table2(args, config: Config) -> Output:
     extra = tuple(int(x) for x in args.extra.split(",")) if args.extra else ()
     resolve = _resolver(args.cache, args.budget)
     records = primes.smallest_prime_table(args.max, extra, resolve)
     flags = primes.non_monotonic_flags(records, resolver=lambda n: resolve(n).q)
-    if config.output == "json":
-        rows = [dict(_record_dict(r), non_monotonic=r.n in flags) for r in records]
-        print(json.dumps({"rows": rows}))
-    elif config.output == "csv":
-        _print_csv(
-            [[r.n, r.q, r.method, r.oracle_checked, r.n in flags] for r in records],
-            ["n", "q", "method", "oracle_checked", "non_monotonic"],
-        )
-    else:
-        for r in records:
-            mark = " *" if r.n in flags else ""
-            print(f"{r.n} {r.q}{mark}")
-    return EXIT_OK
+    return Output(
+        {"rows": [dict(_record_dict(r), non_monotonic=r.n in flags) for r in records]},
+        ["n", "q", "method", "oracle_checked", "non_monotonic"],
+        [[r.n, r.q, r.method, r.oracle_checked, r.n in flags] for r in records],
+        [f"{r.n} {r.q}{' *' if r.n in flags else ''}" for r in records],
+    )
 
 
-def _cmd_verify(args, config: Config) -> int:
-    failures = []
+def _cmd_verify(args, config: Config) -> Output:
     try:
         verify.phase_shift_fixture()
         fixture_ok = True
-    except verify.FixtureMismatch as exc:
+    except verify.FixtureMismatch:
         fixture_ok = False
-        failures.append(str(exc))
     report = verify.sweep(2, args.sweep, precision=max(40, args.digits or config.digits))
-    payload = dict(report.to_dict(), fixture_ok=fixture_ok)
-    if config.output == "json":
-        print(json.dumps(payload))
-    else:
-        print(f"phase-shift fixture: {'ok' if fixture_ok else 'MISMATCH'}")
-        print(
-            f"sweep 2..{args.sweep} @ {report.precision} digits: "
-            f"{len(report.mismatches)} mismatches"
-        )
-        for m in report.mismatches[:20]:
-            print(f"  mismatch a={m[0]} oracle={m[1]} formula={m[2]} membership={m[3]}")
-    if failures or not report.ok:
-        return EXIT_MISMATCH
-    return EXIT_OK
+    lines = [
+        f"phase-shift fixture: {'ok' if fixture_ok else 'MISMATCH'}",
+        f"sweep 2..{args.sweep} @ {report.precision} digits: {len(report.mismatches)} mismatches",
+    ]
+    lines += [f"  mismatch a={a} oracle={o} formula={f} membership={m}"
+              for a, o, f, m in report.mismatches[:20]]
+    return Output(
+        dict(report.to_dict(), fixture_ok=fixture_ok),
+        ["a_min", "a_max", "precision", "mismatches", "fixture_ok"],
+        [[report.a_min, report.a_max, report.precision, len(report.mismatches), fixture_ok]],
+        lines,
+        EXIT_OK if fixture_ok and report.ok else EXIT_MISMATCH,
+    )
 
 
-def _cmd_oeis(args, config: Config) -> int:
-    for n in range(args.terms):
-        print(f"{n} {classes.min_base(n)}")
-    return EXIT_OK
+def _cmd_oeis(args, config: Config) -> Output:
+    rows = [(n, classes.min_base(n)) for n in range(args.terms)]
+    return Output({"rows": [{"n": n, "a": str(a)} for n, a in rows]},
+                  ["n", "a"], rows, [f"{n} {a}" for n, a in rows])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", type=int)
     p.add_argument("--height", type=int, default=None)
     p.add_argument("--digits", type=int, default=None)
-    p.add_argument("--json", action="store_true", help="shorthand for --output json")
+    p.add_argument("--json", dest="output", action="store_const", const="json",
+                   default=argparse.SUPPRESS, help="shorthand for --output json")
     p.set_defaults(func=_cmd_speed)
 
     p = sub.add_parser("profile", help="per-height frozen digits and speeds")
@@ -322,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("class", help="ascending members of a speed class")
     p.add_argument("s1", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_count, required=True)
     p.set_defaults(func=_cmd_class)
 
     p = sub.add_parser("root", help="n-digit truncation of a y^5 = y root")
@@ -337,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_q)
 
     p = sub.add_parser("table1", help="smallest bases: class 5 vs the rest")
-    p.add_argument("--max", type=int, default=19)
+    p.add_argument("--max", type=_count, default=19)
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("table2", help="smallest primes per speed")
@@ -354,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oeis", help="b-file export")
     p.add_argument("--min-bases", action="store_true", required=True)
-    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--terms", type=_count, required=True)
     p.set_defaults(func=_cmd_oeis)
 
     return parser
@@ -368,7 +338,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     try:
-        return args.func(args, config)
+        out = args.func(args, config)
     except (PrecisionError, primes.SearchBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -378,6 +348,8 @@ def main(argv=None) -> int:
     except (verify.FixtureMismatch, classes.FormulaMismatch, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    _write(out, config.output)
+    return out.code
 
 
 def entrypoint() -> None:

@@ -94,41 +94,3 @@ def root_digit(i: int, pos: int) -> int:
     """Digit s_pos of root i (pos >= 1, least significant is s_1)."""
     return root_residue(i, pos).value // 10 ** (pos - 1) % 10
 
-
-def unit_root_pow2_form(n: int) -> int:
-    """(2^(4*5^n + 1) - 1) mod 10^n, an alternative expansion of root 1.
-
-    Equal to root_residue(1, n).value because r^4 = 1 - h, so
-    2 * r^4 - 1 = 1 - 2h modulo 10^n.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    m = 10**n
-    lam = carmichael(m)
-    e = (4 * pow(5, n, lam) + 1) % lam + lam
-    return (pow(2, e, m) - 1) % m
-
-
-def sqrt_minus_one_mod5(n: int) -> tuple[int, int]:
-    """The two solutions of x^2 = -1 (mod 5^n), ascending."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    five = 5**n
-    x = idempotents(n).r % five
-    return tuple(sorted((x, five - x)))
-
-
-def min_coprime_candidates(n: int) -> dict[int, int]:
-    """Smallest n-digit-pattern bases per coprime last digit, speed >= n.
-
-    For each last digit in {1, 3, 7, 9} this is the minimum over the root
-    truncations landing in that class.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return {
-        1: root_residue(1, n).value,
-        3: min(root_residue(3, n).value, root_residue(4, n).value),
-        7: min(root_residue(10, n).value, root_residue(9, n).value),
-        9: root_residue(12, n).value,
-    }

@@ -103,16 +103,6 @@ def _frozen_table(a: int, b_max: int, digits: int) -> list:
     return out
 
 
-def frozen_digits(a: int, b: int, digits: int):
-    """nu(b), or None when the two towers agree through all working digits."""
-    _require_valid_base(a)
-    if b < 1 or digits < 1:
-        raise ValueError("height and digits must be >= 1")
-    if a == 1:
-        return None
-    return _frozen_table(a, b, digits)[-1]
-
-
 def speed_at_height(a: int, b: int, digits: int) -> int:
     """V(a, b) = nu(b) - nu(b-1); V(a, 1) = nu(1)."""
     _require_valid_base(a)
@@ -145,6 +135,7 @@ def _stable_speed(nus: list, floor_b: int) -> int | None:
 def stabilization_floor(a: int) -> int:
     """The lowest height at which a settled speed is accepted: len(a) + 3,
     with the length capped at _FLOOR_LENGTH_CAP."""
+    _require_valid_base(a)
     return min(arith.digit_length(a), _FLOOR_LENGTH_CAP) + 3
 
 

@@ -1,11 +1,8 @@
-"""Cross-validation: definitional oracle vs. formula system, plus probes.
+"""Cross-validation: definitional oracle vs. formula system.
 
 The sweep demands three-way agreement for every base in range: the
 definitional constant speed, the valuation formula, and the unique
-residue-class membership.  The probes check two open regularities (early
-stabilization height; height-2 stabilization for primes ending in nines)
-and report possible counterexamples instead of asserting, since a hit
-would be a finding rather than a bug.
+residue-class membership.
 """
 
 from __future__ import annotations
@@ -13,9 +10,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from . import classes, primes
-from .arith import digit_length
-from .speed import constant_speed, speed_profile, PrecisionError, SpeedProfile
+from . import classes
+from .speed import constant_speed, speed_profile, SpeedProfile
 
 PHASE_SHIFT_BASE_ROOT = 143
 PHASE_SHIFT_BASE_EXP = 625
@@ -72,56 +68,6 @@ def sweep(a_min: int, a_max: int, precision: int = 40) -> SweepReport:
         if not (oracle == formula == member):
             report.mismatches.append((a, oracle, formula, member))
     return report
-
-
-def _cheap_profile(a: int, b_max: int, precision: int) -> SpeedProfile:
-    try:
-        return speed_profile(a, b_max, precision)
-    except PrecisionError:
-        return speed_profile(a, b_max)
-
-
-def probe_stabilization_height(a_min: int, a_max: int, precision: int = 48) -> list:
-    """Bases violating V(a, b) = V(a) from height len(a) + 2 on.
-
-    Only bases with last digit outside {0, 3, 7} are probed; classes 3 and 7
-    are excluded because some of their members provably stabilize one height
-    later.  Known desk-scale hit: a = 5, whose speed at height 3 is still 3
-    while V(5) = 2.  Violations are reported, never asserted away.
-    """
-    violations = []
-    for a in range(max(a_min, 2), a_max + 1):
-        if a % 10 in (0, 3, 7):
-            continue
-        length = digit_length(a)
-        profile = _cheap_profile(a, length + 4, precision)
-        v = profile.constant_speed
-        bad = [e for e in profile.entries if e.height >= length + 2 and e.speed != v]
-        if bad:
-            violations.append((a, bad[0].height, bad[0].speed))
-    return violations
-
-
-def probe_repnine_stabilization(n_max: int, k_max: int, precision: int = 48) -> list:
-    """Primes (k+1) * 10^n - 1 violating V(p, b) = V(p) for some b >= 2.
-
-    Height 1 is exempt: several such primes (499, 29509900499, ...) freeze
-    more digits at the very first step than their constant speed.
-    """
-    violations = []
-    seen = set()
-    for n in range(1, n_max + 1):
-        for k in range(0, k_max + 1):
-            p = primes.RepnineForm(k, n).value
-            if p in seen or not primes.is_prime(p):
-                continue
-            seen.add(p)
-            profile = _cheap_profile(p, digit_length(p) + 4, precision)
-            v = profile.constant_speed
-            bad = [e for e in profile.entries if e.height >= 2 and e.speed != v]
-            if bad:
-                violations.append((p, bad[0].height, bad[0].speed))
-    return violations
 
 
 @functools.lru_cache(maxsize=1)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -119,6 +121,84 @@ class TestTables:
         assert out.splitlines() == ["182", "1432", "2682", "3932", "6432"]
 
 
+def usage_error(capsys, *argv):
+    """Exit code and stderr `error:` lines of an argv that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    err = capsys.readouterr().err.splitlines()
+    return exc.value.code, [line for line in err if "error:" in line]
+
+
+class TestCounts:
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_class_count(self, capsys, value):
+        # members() is infinite: a count below 1 used to loop forever
+        code, err = usage_error(capsys, "class", "2", "4", "--count", value)
+        assert code == 2 and len(err) == 1 and "--count" in err[0]
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_table1_max(self, capsys, value):
+        code, err = usage_error(capsys, "table1", "--max", value)
+        assert code == 2 and len(err) == 1 and "--max" in err[0]
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_oeis_terms(self, capsys, value):
+        code, err = usage_error(capsys, "oeis", "--min-bases", "--terms", value)
+        assert code == 2 and len(err) == 1 and "--terms" in err[0]
+
+    def test_non_integer_message_kept(self, capsys):
+        code, err = usage_error(capsys, "class", "2", "4", "--count", "x")
+        assert code == 2 and err[0].endswith("argument --count: invalid int value: 'x'")
+
+
+# One argv per command, with its CSV header; each is run in JSON and in CSV.
+COMMANDS = {
+    "speed": (["speed", "807"], "a,V"),
+    "profile": (["profile", "2", "--max-height", "5", "--digits", "20"], "height,frozen,speed"),
+    "min-base": (["min-base", "9", "--class", "2"], "n,s1,value"),
+    "class": (["class", "2", "4", "--count", "3"], "member"),
+    "root": (["root", "10", "--digits", "3"], "root,digits,value"),
+    "q": (["q", "3"], "n,q,method,oracle_checked"),
+    "table1": (["table1", "--max", "3"], "n,class5,others"),
+    "table2": (["table2", "--max", "3"], "n,q,method,oracle_checked,non_monotonic"),
+    "verify": (["verify", "--sweep", "20"], "a_min,a_max,precision,mismatches,fixture_ok"),
+    "oeis": (["oeis", "--min-bases", "--terms", "3"], "n,a"),
+}
+
+
+class TestOutputFormats:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_json(self, capsys, command):
+        code, out = run(capsys, "--output", "json", *COMMANDS[command][0])
+        assert code == 0
+        assert json.dumps(json.loads(out)) + "\n" == out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_csv(self, capsys, command):
+        argv, header = COMMANDS[command]
+        code, out = run(capsys, "--output", "csv", *argv)
+        assert code == 0
+        first, *rows = csv.reader(io.StringIO(out))
+        assert first == header.split(",")
+        assert rows and all(len(row) == len(first) for row in rows)
+
+    def test_verify_csv(self, capsys):
+        code, out = run(capsys, "--output", "csv", "verify", "--sweep", "20")
+        assert list(csv.DictReader(io.StringIO(out))) == [
+            {"a_min": "2", "a_max": "20", "precision": "64", "mismatches": "0",
+             "fixture_ok": "True"}
+        ]
+
+    def test_oeis_json(self, capsys):
+        code, out = run(capsys, "--output", "json", "oeis", "--min-bases", "--terms", "3")
+        assert json.loads(out) == {"rows": [{"n": 0, "a": "1"}, {"n": 1, "a": "2"},
+                                            {"n": 2, "a": "5"}]}
+
+    def test_speed_json_flag_wins(self, capsys):
+        code, out = run(capsys, "--output", "csv", "speed", "807", "--json")
+        assert code == 0 and json.loads(out)["V"] == 3
+
+
 class TestOeis:
     def test_bfile(self, capsys):
         code, out = run(capsys, "oeis", "--min-bases", "--terms", "6")
@@ -192,6 +272,12 @@ class TestExitCodes:
 
     def test_bad_base_is_2(self, capsys):
         assert cli.main(["speed", "40"]) == 2
+
+    @pytest.mark.parametrize("a", ["0", "-7"])
+    def test_nonpositive_base_names_the_base(self, capsys, a):
+        assert cli.main(["speed", a]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: undefined congruence speed for a = {a}\n"
 
     def test_formula_mismatch_is_3(self, capsys, monkeypatch):
         monkeypatch.setattr(classes, "_formula_value", lambda a: 5)

@@ -1,14 +1,6 @@
 import pytest
 
-from congspeed.decadic import (
-    idempotents,
-    min_coprime_candidates,
-    root_digit,
-    ROOT_LAST_DIGIT,
-    root_residue,
-    sqrt_minus_one_mod5,
-    unit_root_pow2_form,
-)
+from congspeed.decadic import idempotents, root_digit, ROOT_LAST_DIGIT, root_residue
 from congspeed.speed import constant_speed
 
 from reference_tails import ROOT_TAILS
@@ -95,8 +87,10 @@ class TestRoots:
         assert root_digit(9, 4) == 5
 
     def test_unit_root_alternative_form(self):
+        # root 1 = 1 - 2h = 2 r^4 - 1 = 2^(4*5^n + 1) - 1, since r^4 = 1 - h
         for n in range(1, 51):
-            assert unit_root_pow2_form(n) == root_residue(1, n).value
+            m = 10**n
+            assert (pow(2, 4 * 5**n + 1, m) - 1) % m == root_residue(1, n).value
 
 
 class TestOracleLink:
@@ -116,6 +110,23 @@ class TestOracleLink:
         for i in (2, 5, 6, 7, 8, 11):
             for n in range(2, 13):
                 assert constant_speed(root_residue(i, n).value) >= n
+
+
+def sqrt_minus_one_mod5(n):
+    """The two solutions of x^2 = -1 (mod 5^n), ascending, from r(n)."""
+    five = 5**n
+    x = idempotents(n).r % five
+    return tuple(sorted((x, five - x)))
+
+
+def min_coprime_candidates(n):
+    """Per coprime last digit, the least root truncation to n digits ending in it."""
+    return {
+        1: root_residue(1, n).value,
+        3: min(root_residue(3, n).value, root_residue(4, n).value),
+        7: min(root_residue(10, n).value, root_residue(9, n).value),
+        9: root_residue(12, n).value,
+    }
 
 
 class TestSqrtMinusOne:
@@ -141,7 +152,7 @@ class TestMinCoprimeCandidates:
         assert constant_speed(51) == 2
 
     def test_class7_at_7(self):
-        assert min_coprime_candidates(7)[7] == 2077057
+        assert min(root_residue(9, 7).value, root_residue(10, 7).value) == 2077057
 
     def test_speed_at_least_n(self):
         for n in range(2, 11):

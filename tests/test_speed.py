@@ -5,7 +5,6 @@ from congspeed import arith
 from congspeed.speed import (
     _frozen_table,
     constant_speed,
-    frozen_digits,
     PrecisionError,
     speed_at_height,
     speed_profile,
@@ -25,16 +24,16 @@ def v10(x):
 class TestFrozenDigits:
     def test_base_two(self):
         # towers 2, 4, 16, 65536: one shared digit between 16 and 65536
-        assert frozen_digits(2, 3, 10) == 1
-        assert frozen_digits(2, 1, 10) == 0
+        assert _frozen_table(2, 3, 10) == [0, 0, 1]
+        assert speed_profile(2, 3, 10).frozen_counts == [0, 0, 1]
 
     def test_base_one_marker(self):
-        assert frozen_digits(1, 1, 10) is None
-        assert frozen_digits(1, 7, 50) is None
+        assert speed_profile(1, 1, 10).frozen_counts == [None]
+        assert speed_profile(1, 7, 50).frozen_counts == [None] * 7
 
     def test_multiple_of_ten_rejected(self):
         with pytest.raises(UndefinedSpeedError):
-            frozen_digits(20, 2, 10)
+            speed_profile(20, 2, 10)
 
     def test_exact_reference_base_five(self):
         # Fully independent: exact exponents throughout, no chain logic.
@@ -43,7 +42,8 @@ class TestFrozenDigits:
         nu1 = v10(3125 - 5)
         nu2 = v10((t2 - 3125) % m)
         nu3 = v10((pow(5, t2, m) - t2) % m)
-        assert [frozen_digits(5, b, 40) for b in (1, 2, 3)] == [nu1, nu2, nu3]
+        assert _frozen_table(5, 3, 40) == [nu1, nu2, nu3]
+        assert speed_profile(5, 3, 40).frozen_counts == [nu1, nu2, nu3]
         assert (nu1, nu2, nu3) == (1, 5, 8)
 
 

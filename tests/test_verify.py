@@ -2,14 +2,44 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from congspeed import classes, verify
-from congspeed.speed import constant_speed
-from congspeed.verify import (
-    FixtureMismatch,
-    phase_shift_fixture,
-    probe_repnine_stabilization,
-    probe_stabilization_height,
-    sweep,
-)
+from congspeed.arith import digit_length
+from congspeed.primes import is_prime, RepnineForm
+from congspeed.speed import constant_speed, speed_profile
+from congspeed.verify import FixtureMismatch, phase_shift_fixture, sweep
+
+
+def late_speeds(a, from_height):
+    """(height, speed) of the first height >= from_height, up to len(a) + 4,
+    whose speed differs from V(a); None if there is none."""
+    profile = speed_profile(a, digit_length(a) + 4)
+    for e in profile.entries:
+        if e.height >= from_height and e.speed != profile.constant_speed:
+            return e.height, e.speed
+    return None
+
+
+def unsettled_bases(a_min, a_max):
+    """Bases outside classes 0, 3 and 7 whose speed differs from V(a) at
+    some height >= len(a) + 2, with that height and speed."""
+    out = []
+    for a in range(a_min, a_max + 1):
+        if a % 10 not in (0, 3, 7):
+            hit = late_speeds(a, digit_length(a) + 2)
+            if hit:
+                out.append((a, *hit))
+    return out
+
+
+def unsettled_repnines(n_max, k_max):
+    """Primes (k+1) * 10^n - 1 whose speed differs from V(p) at some height >= 2."""
+    out = []
+    for p in sorted({RepnineForm(k, n).value for n in range(1, n_max + 1)
+                     for k in range(k_max + 1)}):
+        if is_prime(p):
+            hit = late_speeds(p, 2)
+            if hit:
+                out.append((p, *hit))
+    return out
 
 
 class TestSweep:
@@ -59,20 +89,22 @@ class TestStabilizationProbe:
     def test_known_violation_is_five(self):
         # V(5, 3) = 3 while V(5) = 2: the one desk-scale base whose speed
         # has not settled at height len(a) + 2
-        assert probe_stabilization_height(2, 1200) == [(5, 3, 3)]
+        assert unsettled_bases(2, 1200) == [(5, 3, 3)]
 
     def test_classes_3_and_7_not_probed(self):
-        # 807 runs one high through height 5 but its class is excluded
-        assert probe_stabilization_height(800, 810) == []
+        # 807 runs one high through height 5, which is why class 7 is left out
+        assert unsettled_bases(800, 810) == []
+        assert late_speeds(807, 5) == (5, 4)
 
 
 class TestRepnineProbe:
     def test_clean_at_desk_scale(self):
-        assert probe_repnine_stabilization(3, 60) == []
+        assert unsettled_repnines(3, 60) == []
 
     def test_499_is_not_a_violation(self):
-        # height 1 is exempt by contract
-        assert probe_repnine_stabilization(1, 50) == []
+        # height 1 is exempt: 499 freezes 3 digits there, V(499) = 2
+        assert unsettled_repnines(1, 50) == []
+        assert late_speeds(499, 1) == (1, 3)
 
 
 class TestPhaseShiftFixture:
