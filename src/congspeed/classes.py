@@ -5,8 +5,9 @@ a finite union of arithmetic progressions: truncated roots of y^5 = y
 shifted by 10^n (odd coprime classes), the reduced root residues shifted by
 2 * 5^n (even classes), 5^n -+ 1 shifted by 2 * 5^n (classes 4 and 6), and
 two closed-form bases shifted by 10 * 2^n (class 5).  Speed 1 is a plain
-residue test modulo 25.  A direct valuation formula for V(a) is derived
-from the same structure and cross-checked against class membership.
+residue test modulo 25, so its classes are residues modulo 50 (class 5 has
+none).  A direct valuation formula for V(a) is derived from the same
+structure and cross-checked against class membership.
 """
 
 from __future__ import annotations
@@ -144,11 +145,14 @@ def class_spec(s1: int, n: int) -> ClassSpec:
     """The progression families making up the speed-n class of last digit s1."""
     if not 1 <= s1 <= 9:
         raise ValueError(f"last digit must be 1..9, got {s1}")
-    if n < 2:
-        raise ValueError("use speed_one_residues for n = 1")
+    if n < 1:
+        raise ValueError(f"speed must be at least 1, got {n}")
     ten = 10**n
     two5 = 2 * 5**n
-    if s1 == 1:
+    if n == 1:  # the residues modulo 50 with last digit s1 and a % 25 in V1_RESIDUES
+        fams = tuple(ProgressionFamily(b, 50, frozenset()) for b in range(2, 52)
+                     if b % 10 == s1 and b % 25 in V1_RESIDUES)
+    elif s1 == 1:
         fams = (
             _root_family(1, n),
             ProgressionFamily(ten + 1, ten, frozenset({9}), 10),

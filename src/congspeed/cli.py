@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("class", help="ascending members of a speed class")
     p.add_argument("s1", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_count)
     p.add_argument("--count", type=_count, required=True)
     p.set_defaults(func=_cmd_class)
 
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("q", help="smallest prime with speed N")
     p.add_argument("n", type=int)
     p.add_argument("--cache", type=str, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_count, default=None)
     p.set_defaults(func=_cmd_q)
 
     p = sub.add_parser("table1", help="smallest bases: class 5 vs the rest")
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, default=21)
     p.add_argument("--extra", type=str, default=None)
     p.add_argument("--cache", type=str, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_count, default=None)
     p.set_defaults(func=_cmd_table2)
 
     p = sub.add_parser("verify", help="oracle-vs-formula sweep plus fixtures")

@@ -12,8 +12,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .arith import carmichael
-
 # Last digit of each root, indexed 1..13.
 ROOT_LAST_DIGIT = {
     1: 1, 2: 2, 3: 3, 4: 3, 5: 4, 6: 5, 7: 5,
@@ -46,17 +44,17 @@ class DecadicResidue:
 
 @functools.lru_cache(maxsize=None)
 def idempotents(n: int) -> IdempotentPair:
-    """h(n) = 5^(2^n) and r(n) = 2^(5^n), both mod 10^n.
+    """h(n) = 5^(2^n) and r(n) = 2^(5^n), both mod 10^n, built by CRT.
 
-    The giant exponents are clamped through Carmichael's lambda, which is
-    valid here because 2^n and 5^n always exceed n.
+    h is 1 mod 2^n and 0 mod 5^n.  r is 0 mod 2^n and, since 2 has order
+    4 * 5^(n-1) mod 5^n, 2^(5^(n-1)) mod 5^n; 1 - h carries that residue
+    over to mod 10^n.  Neither takes a power modulo 10^n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = 10**n
-    lam = carmichael(m)
-    h = pow(5, pow(2, n, lam) + lam, m)
-    r = pow(2, pow(5, n, lam) + lam, m)
+    five = 5**n
+    h = five * pow(five, -1, 2**n)
+    r = pow(2, 5 ** (n - 1), five) * (1 - h) % (10**n)
     return IdempotentPair(n, h, r)
 
 

@@ -1,16 +1,18 @@
 """Primality testing and the smallest prime attaining each congruence speed.
 
-For every target speed the nine residue-class enumerations are merged in
-ascending order and tested for primality; the first hit is the record
-holder.  Even classes and multiples of 5 cannot contribute a prime above 5,
-so their streams are cut off early, which keeps the merge tractable for
-very large targets.  Numbers below 2^64 get a deterministic Miller-Rabin
-verdict; larger candidates get a Baillie-PSW style answer and are tagged
-as probabilistic.
+For every target speed n >= 2 the residue classes 1, 3, 7 and 9 are merged
+in ascending order and tested for primality; the first hit is the record
+holder.  The even classes and class 5 hold no prime except 5 itself
+(V(5) = 2), so they are never enumerated.  A candidate above _SIEVE_BOUND
+that shares a factor with the primorial of the primes up to that bound is
+struck by one gcd before Miller-Rabin runs; it still counts as examined.
+Numbers below 2^64 get a deterministic Miller-Rabin verdict; larger
+candidates get a Baillie-PSW style answer and are tagged as probabilistic.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -21,13 +23,15 @@ from . import classes, speed
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_LIMIT = 1 << 64
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+# The search's gcd prefilter strikes candidates with a prime factor up to here.
+_SIEVE_BOUND = 20_000
 
 METHOD_DETERMINISTIC = "deterministic-small"
 METHOD_PROBABILISTIC = "probabilistic"
 
 
 class SearchBudgetError(RuntimeError):
-    """Raised when the candidate budget runs out; carries resume state."""
+    """Raised when the candidate budget runs out; last_candidate was the last examined."""
 
     def __init__(self, n: int, examined: int, last_candidate: int):
         super().__init__(
@@ -159,47 +163,43 @@ def repnine_speed(k: int, n: int):
     return n if k % 10 != 9 else None
 
 
-def _v1_candidates() -> Iterator[int]:
-    a = 2
-    while True:
-        if a % 25 in classes.V1_RESIDUES:
-            yield a
-        a += 1
-
-
-def _class_candidates(s1: int, n: int) -> Iterator[int]:
-    it = classes.class_spec(s1, n).members()
-    if s1 % 2 == 0 or s1 == 5:
-        # Members above 5 are divisible by 2 or by 5, hence composite:
-        # cutting the stream preserves an exhaustive prime search.
-        for v in it:
-            if v > 5:
-                return
-            yield v
-    else:
-        yield from it
+@functools.lru_cache(maxsize=None)
+def _primorial() -> int:
+    """Product of the primes up to _SIEVE_BOUND, built on the first search."""
+    sieve = bytearray([1]) * (_SIEVE_BOUND + 1)
+    for p in range(2, math.isqrt(_SIEVE_BOUND) + 1):
+        sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
+    return math.prod(p for p in range(2, _SIEVE_BOUND + 1) if sieve[p])
 
 
 def speed_candidates(n: int) -> Iterator[int]:
-    """All bases with constant congruence speed n, ascending."""
+    """The prime search's stream: ascending bases with speed n.
+
+    Every speed-1 base for n = 1.  For n >= 2 only the classes 1, 3, 7 and
+    9, plus 5 at n = 2: every other even or class-5 base is composite.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return _v1_candidates()
-    return heapq.merge(*(_class_candidates(s1, n) for s1 in range(1, 10)))
+    digits = range(1, 10) if n == 1 else (1, 3, 7, 9)
+    five = (5,) if n == 2 else ()
+    return heapq.merge(five, *(classes.class_spec(s1, n).members() for s1 in digits))
 
 
 def smallest_prime_with_speed(
     n: int, budget: int | None = None, oracle_check: bool | None = None
 ) -> PrimeSpeedRecord:
     """First prime in the merged ascending class enumerations for speed n."""
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     examined = 0
     last = 0
     for cand in speed_candidates(n):
+        if examined == budget:
+            raise SearchBudgetError(n, examined, last)
         examined += 1
         last = cand
-        if budget is not None and examined > budget:
-            raise SearchBudgetError(n, examined - 1, last)
+        if cand > _SIEVE_BOUND and math.gcd(cand, _primorial()) != 1:
+            continue
         if is_prime(cand):
             if classes.speed_by_formula(cand) != n:  # pragma: no cover
                 raise RuntimeError(f"candidate {cand} fails the speed check for n = {n}")

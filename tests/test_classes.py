@@ -78,9 +78,15 @@ class TestClassSpec:
         assert (fam.base, fam.step, fam.residue_modulus) == (124, 250, 5)
         assert fam.excluded == frozenset({2})
 
-    def test_rejects_speed_one(self):
-        with pytest.raises(ValueError, match="speed_one_residues"):
-            class_spec(3, 1)
+    def test_speed_one_classes(self):
+        # Speed 1 is a residue test mod 25, so each class is residues mod 50.
+        for s1 in range(1, 10):
+            want = [a for a in range(2, 1000) if a % 10 == s1 and a % 25 in speed_one_residues()]
+            assert take(class_spec(s1, 1).members(), len(want)) == want
+        assert [f.base for f in class_spec(3, 1).families] == [3, 13, 23, 33]
+        assert class_spec(5, 1).families == ()
+        with pytest.raises(ValueError, match="at least 1, got 0"):
+            class_spec(3, 0)
 
     def test_members_have_the_right_speed(self):
         for s1 in range(1, 10):

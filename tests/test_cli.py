@@ -120,6 +120,14 @@ class TestTables:
         assert code == 0
         assert out.splitlines() == ["182", "1432", "2682", "3932", "6432"]
 
+    @pytest.mark.parametrize("s1,want", [("1", "11 21 31 41 61 71"), ("2", "2 12 22 42 52 62"),
+                                         ("9", "9 19 29 39 59 69"), ("5", "")])
+    def test_class_speed_one(self, capsys, s1, want):
+        # Speed 1 is a residue test mod 25; no base ending in 5 has it.
+        code, out = run(capsys, "class", s1, "1", "--count", "6")
+        assert (code, out.split()) == (0, want.split())
+        assert all(speed.constant_speed(int(a)) == 1 for a in out.split())
+
 
 def usage_error(capsys, *argv):
     """Exit code and stderr `error:` lines of an argv that argparse rejects."""
@@ -145,6 +153,17 @@ class TestCounts:
     def test_oeis_terms(self, capsys, value):
         code, err = usage_error(capsys, "oeis", "--min-bases", "--terms", value)
         assert code == 2 and len(err) == 1 and "--terms" in err[0]
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_class_speed(self, capsys, value):
+        code, err = usage_error(capsys, "class", "2", value, "--count", "3")
+        assert code == 2 and len(err) == 1 and "argument n:" in err[0]
+
+    @pytest.mark.parametrize("command", [["q", "6"], ["table2", "--max", "3"]])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_budget(self, capsys, command, value):
+        code, err = usage_error(capsys, *command, "--budget", value)
+        assert code == 2 and len(err) == 1 and "--budget" in err[0]
 
     def test_non_integer_message_kept(self, capsys):
         code, err = usage_error(capsys, "class", "2", "4", "--count", "x")
@@ -263,6 +282,9 @@ class TestExitCodes:
 
     def test_budget_error_is_1(self, capsys):
         assert cli.main(["q", "6", "--budget", "1"]) == 1
+        err = capsys.readouterr().err
+        # 77057 is the one candidate examined: resuming above it skips nothing.
+        assert err == "error: budget exhausted after 1 candidates for speed 6; resume above 77057\n"
 
     def test_fixture_mismatch_is_3(self, capsys, monkeypatch):
         from congspeed import verify

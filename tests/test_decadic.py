@@ -20,7 +20,7 @@ class TestIdempotents:
         assert idempotents(21).r == 804103263499879186432
 
     def test_against_plain_pow(self):
-        for n in (1, 2, 3, 5, 8):
+        for n in range(1, 301):
             assert idempotents(n).h == pow(5, 2**n, 10**n)
             assert idempotents(n).r == pow(2, 5**n, 10**n)
 

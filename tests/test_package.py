@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import congspeed
@@ -20,3 +23,17 @@ def test_exports_are_the_imported_public_names():
         for alias in node.names
     }
     assert sorted(congspeed.__all__) == sorted(n for n in imported if not n.startswith("_"))
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(congspeed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        done = subprocess.run([sys.executable, "-m", "congspeed", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    assert run("min-base", "4") == (0, "15\n", "")
+    code, out, err = run("speed", "40")
+    assert (code, out) == (2, "") and err.startswith("error:")

@@ -1,8 +1,13 @@
+import heapq
 import itertools
+import json
+import math
+from pathlib import Path
 
 import pytest
 
-from congspeed.classes import speed_by_formula
+from congspeed import primes
+from congspeed.classes import class_spec, speed_by_formula
 from congspeed.primes import (
     is_prime,
     METHOD_DETERMINISTIC,
@@ -126,7 +131,13 @@ class TestSmallestPrime:
             smallest_prime_with_speed(6, budget=1)
         assert exc.value.n == 6
         assert exc.value.examined == 1
-        assert exc.value.last_candidate > 5
+        # Resuming above last_candidate must not skip an untested candidate.
+        assert exc.value.last_candidate == next(speed_candidates(6)) == 77057
+
+    @pytest.mark.parametrize("budget", [0, -2])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="at least 1"):
+            smallest_prime_with_speed(6, budget=budget)
 
     def test_minimality_small(self):
         for n in (3, 4, 5, 6):
@@ -144,6 +155,79 @@ class TestSmallestPrime:
         assert recs == seen == [1, 2, 5]
         with pytest.raises(ValueError):
             smallest_prime_table(0)
+
+
+def reference_stream(n):
+    """The search stream as all nine classes, the even and class-5 ones cut above 5."""
+    def cut(s1):
+        members = class_spec(s1, n).members()
+        if s1 % 2 and s1 != 5:
+            return members
+        return itertools.takewhile(lambda v: v <= 5, members)
+    return heapq.merge(*(cut(s1) for s1 in range(1, 10)))
+
+
+def reference_search(n, budget=None):
+    """The candidates a plain is_prime loop over reference_stream examines."""
+    seen = []
+    for cand in reference_stream(n):
+        seen.append(cand)
+        if is_prime(cand) or len(seen) == budget:
+            return seen
+
+
+RECORDED_Q = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "recorded_q.json").read_text(encoding="utf-8")
+)
+
+
+class TestSearchEquivalence:
+    """The four-class stream with its gcd prefilter against the reference search."""
+
+    @staticmethod
+    def assert_examines(n, q, examined, last_before):
+        # q is found within `examined` candidates and not within one fewer.
+        assert smallest_prime_with_speed(n, budget=examined, oracle_check=False).q == q
+        if examined > 1:
+            with pytest.raises(SearchBudgetError) as exc:
+                smallest_prime_with_speed(n, budget=examined - 1, oracle_check=False)
+            assert exc.value.examined == examined - 1
+            if last_before is not None:
+                assert exc.value.last_candidate == last_before
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_same_q_and_examined(self, n):
+        seen = reference_search(n)
+        self.assert_examines(n, seen[-1], len(seen), seen[-2] if len(seen) > 1 else None)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("budget", [1, 5, 37])
+    def test_same_budget_stop(self, n, budget):
+        seen = reference_search(n, budget)
+        if is_prime(seen[-1]):
+            assert smallest_prime_with_speed(n, budget=budget).q == seen[-1]
+            return
+        with pytest.raises(SearchBudgetError) as exc:
+            smallest_prime_with_speed(n, budget=budget)
+        assert exc.value.examined == budget == len(seen)
+        assert exc.value.last_candidate == seen[-1]
+
+    def test_stream_matches_reference(self):
+        for n in range(2, 61):
+            got = list(itertools.islice(speed_candidates(n), 50))
+            assert got == list(itertools.islice(reference_stream(n), 50)), n
+
+    def test_prefilter_spares_primes_below_its_bound(self):
+        # Each of these primes divides the primorial, so only the bound
+        # keeps the gcd from striking it.
+        for n, q in ((2, 5), (3, 193), (4, 1249)):
+            assert q < primes._SIEVE_BOUND and math.gcd(q, primes._primorial()) == q
+            assert smallest_prime_with_speed(n, oracle_check=False).q == q
+
+    @pytest.mark.parametrize("n", [156, 215, 309, 357, 386])
+    def test_recorded_high_n(self, n):
+        q, examined = RECORDED_Q[str(n)]
+        self.assert_examines(n, int(q), examined, None)
 
 
 class TestNonMonotonicFlags:
