@@ -90,6 +90,8 @@ class ClassSpec:
         return any(f.contains(a) for f in self.families)
 
     def smallest(self) -> int:
+        if not self.families:
+            raise ValueError(f"no base with last digit {self.s1} has speed {self.n}")
         return min(f.smallest() for f in self.families)
 
 
@@ -185,17 +187,7 @@ def class_spec(s1: int, n: int) -> ClassSpec:
 
 
 def min_base_class(s1: int, n: int) -> int:
-    """Smallest base with last digit s1 and constant congruence speed n >= 2."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if s1 == 4:
-        return 5**n - 1
-    if s1 == 6:
-        return 5**n + 1
-    if s1 in (2, 8):
-        return _even_min_base(s1, n)
-    if s1 == 5:
-        return min(class5_bases(n))
+    """Smallest base with last digit s1 and constant congruence speed n >= 1."""
     return class_spec(s1, n).smallest()
 
 
@@ -263,10 +255,7 @@ def table1_rows(n_max: int = 19) -> list[tuple]:
     """Rows (n, smallest class-5 base or None, smallest other base)."""
     rows = []
     for n in range(1, n_max + 1):
-        if n == 1:
-            rows.append((1, None, 2))
-            continue
-        a5 = min_base_class(5, n)
+        a5 = min_base_class(5, n) if n > 1 else None  # no base ending in 5 has speed 1
         other = min(min_base_class(s1, n) for s1 in (1, 2, 3, 4, 6, 7, 8, 9))
         rows.append((n, a5, other))
     return rows
@@ -298,12 +287,6 @@ def _formula_value(a: int) -> int:
     return min(valuation(5, a**4 - 1), valuation(2, a * a - 1) - 1)
 
 
-def _in_class(a: int, n: int) -> bool:
-    if n == 1:
-        return a % 25 in V1_RESIDUES
-    return class_spec(a % 10, n).contains(a)
-
-
 class FormulaMismatch(RuntimeError):
     """The valuation formula and class membership disagree on V(a)."""
 
@@ -318,7 +301,7 @@ def speed_by_formula(a: int) -> int:
     if a == 1:
         return 0
     v = _formula_value(a)
-    if not _in_class(a, v):
+    if not class_spec(a % 10, v).contains(a):
         raise FormulaMismatch(
             f"valuation formula gives V({a}) = {v}, class membership gives {speed_by_membership(a)}"
         )
@@ -331,5 +314,5 @@ def speed_by_membership(a: int):
         raise UndefinedSpeedError(f"undefined congruence speed for a = {a}")
     if a == 1:
         return 0
-    matches = [n for n in range(1, valuation_bound(a) + 2) if _in_class(a, n)]
+    matches = [n for n in range(1, valuation_bound(a) + 2) if class_spec(a % 10, n).contains(a)]
     return matches[0] if len(matches) == 1 else None

@@ -5,9 +5,9 @@ survives any consumer.  Every failure prints one `error:` line to stderr
 and exits with 1 (precision or search budget exhausted), 2 (usage error,
 including a base divisible by 10) or 3 (verification failure: a fixture
 or formula mismatch, or a `q` cache line that is torn or fails its check).
-`--digits` and TCS_DIGITS set the working precision of `speed --height`
-and `profile` and the starting precision of `verify`; `speed` without
-`--height` chooses and grows its own.
+`--digits` (default TCS_DIGITS, else 64; at least 16 either way) sets the
+working precision of `speed --height` and `profile` and the starting
+precision of `verify`; `speed` without `--height` chooses and grows its own.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import classes, decadic, primes, verify
@@ -27,7 +26,6 @@ from .speed import (
     UndefinedSpeedError,
     speed_at_height,
     speed_profile,
-    stabilization_floor,
 )
 
 ENV_DIGITS = "TCS_DIGITS"
@@ -35,21 +33,6 @@ EXIT_OK = 0
 EXIT_RESOURCE = 1
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
-
-
-@dataclass
-class Config:
-    digits: int = 64
-    output: str = "text"
-
-    def __post_init__(self):
-        if self.digits < 16:
-            raise ValueError("working precision must be at least 16 digits")
-
-
-def _default_digits() -> int:
-    raw = os.environ.get(ENV_DIGITS)
-    return int(raw) if raw else 64
 
 
 class Output(NamedTuple):
@@ -74,15 +57,17 @@ def _write(out: Output, fmt: str) -> None:
             print(line)
 
 
-def _count(text: str) -> int:
-    """argparse type for a count of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int):
+    """argparse type for an int of at least `low`."""
 
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
 
-_count.__name__ = "int"  # argparse names the type when int() rejects the text
+    parse.__name__ = "int"  # argparse names the type when int() rejects the text
+    return parse
 
 
 def _record_dict(rec: PrimeSpeedRecord) -> dict:
@@ -148,21 +133,20 @@ def _resolver(cache_path: str | None, budget: int | None):
     return resolve
 
 
-def _cmd_speed(args, config: Config) -> Output:
+def _cmd_speed(args) -> Output:
     a = args.a
     if args.height is not None:
-        v = speed_at_height(a, args.height, args.digits or config.digits)
+        v = speed_at_height(a, args.height, args.digits)
         heights = [[args.height, v]]
     else:
-        profile = speed_profile(a, stabilization_floor(a))
+        profile = speed_profile(a)
         v = profile.constant_speed
         heights = [[e.height, e.speed] for e in profile.entries]
     return Output({"a": str(a), "V": v, "heights": heights}, ["a", "V"], [[a, v]], [v])
 
 
-def _cmd_profile(args, config: Config) -> Output:
-    digits = args.digits or config.digits
-    profile = speed_profile(args.a, args.max_height, digits)
+def _cmd_profile(args) -> Output:
+    profile = speed_profile(args.a, args.max_height, args.digits)
     rows = [[e.height, e.frozen, e.speed] for e in profile.entries]
     payload = {
         "a": str(args.a),
@@ -176,7 +160,7 @@ def _cmd_profile(args, config: Config) -> Output:
     return Output(payload, ["height", "frozen", "speed"], rows, lines)
 
 
-def _cmd_min_base(args, config: Config) -> Output:
+def _cmd_min_base(args) -> Output:
     if args.s1 is not None:
         value = classes.min_base_class(args.s1, args.n)
     else:
@@ -185,26 +169,26 @@ def _cmd_min_base(args, config: Config) -> Output:
                   ["n", "s1", "value"], [[args.n, args.s1, value]], [value])
 
 
-def _cmd_class(args, config: Config) -> Output:
+def _cmd_class(args) -> Output:
     members = list(itertools.islice(classes.class_spec(args.s1, args.n).members(), args.count))
     return Output({"s1": args.s1, "n": args.n, "members": [str(v) for v in members]},
                   ["member"], [[v] for v in members], members)
 
 
-def _cmd_root(args, config: Config) -> Output:
+def _cmd_root(args) -> Output:
     res = decadic.root_residue(args.i, args.digits)
-    text = f"{res.value:0{args.digits}d}"
+    text = "".join(map(str, reversed(res.digits)))
     return Output({"root": args.i, "digits": args.digits, "value": text},
                   ["root", "digits", "value"], [[args.i, args.digits, text]], [text])
 
 
-def _cmd_q(args, config: Config) -> Output:
+def _cmd_q(args) -> Output:
     rec = _resolver(args.cache, args.budget)(args.n)
     return Output(_record_dict(rec), ["n", "q", "method", "oracle_checked"],
                   [[rec.n, rec.q, rec.method, rec.oracle_checked]], [rec.q])
 
 
-def _cmd_table1(args, config: Config) -> Output:
+def _cmd_table1(args) -> Output:
     rows = classes.table1_rows(args.max)
     payload = {
         "rows": [
@@ -216,7 +200,7 @@ def _cmd_table1(args, config: Config) -> Output:
     return Output(payload, ["n", "class5", "others"], rows, lines)
 
 
-def _cmd_table2(args, config: Config) -> Output:
+def _cmd_table2(args) -> Output:
     extra = tuple(int(x) for x in args.extra.split(",")) if args.extra else ()
     resolve = _resolver(args.cache, args.budget)
     records = primes.smallest_prime_table(args.max, extra, resolve)
@@ -229,13 +213,13 @@ def _cmd_table2(args, config: Config) -> Output:
     )
 
 
-def _cmd_verify(args, config: Config) -> Output:
+def _cmd_verify(args) -> Output:
     try:
         verify.phase_shift_fixture()
         fixture_ok = True
     except verify.FixtureMismatch:
         fixture_ok = False
-    report = verify.sweep(2, args.sweep, precision=max(40, args.digits or config.digits))
+    report = verify.sweep(2, args.sweep, precision=max(40, args.digits))
     lines = [
         f"phase-shift fixture: {'ok' if fixture_ok else 'MISMATCH'}",
         f"sweep 2..{args.sweep} @ {report.precision} digits: {len(report.mismatches)} mismatches",
@@ -251,13 +235,15 @@ def _cmd_verify(args, config: Config) -> Output:
     )
 
 
-def _cmd_oeis(args, config: Config) -> Output:
+def _cmd_oeis(args) -> Output:
     rows = [(n, classes.min_base(n)) for n in range(args.terms)]
     return Output({"rows": [{"n": n, "a": str(a)} for n, a in rows]},
                   ["n", "a"], rows, [f"{n} {a}" for n, a in rows])
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse runs a string default through `type`, so TCS_DIGITS obeys the flag's rule.
+    digits = dict(type=_at_least(16), default=os.environ.get(ENV_DIGITS) or "64")
     parser = argparse.ArgumentParser(
         prog="congspeed",
         description="Congruence speed of integer tetration in base 10.",
@@ -273,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("speed", help="constant speed V(a), or V(a, b) with --height")
     p.add_argument("a", type=int)
     p.add_argument("--height", type=int, default=None)
-    p.add_argument("--digits", type=int, default=None)
+    p.add_argument("--digits", **digits)
     p.add_argument("--json", dest="output", action="store_const", const="json",
                    default=argparse.SUPPRESS, help="shorthand for --output json")
     p.set_defaults(func=_cmd_speed)
@@ -281,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="per-height frozen digits and speeds")
     p.add_argument("a", type=int)
     p.add_argument("--max-height", type=int, required=True)
-    p.add_argument("--digits", type=int, default=None)
+    p.add_argument("--digits", **digits)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("min-base", help="smallest base with speed N")
@@ -291,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("class", help="ascending members of a speed class")
     p.add_argument("s1", type=int)
-    p.add_argument("n", type=_count)
-    p.add_argument("--count", type=_count, required=True)
+    p.add_argument("n", type=_at_least(1))
+    p.add_argument("--count", type=_at_least(1), required=True)
     p.set_defaults(func=_cmd_class)
 
     p = sub.add_parser("root", help="n-digit truncation of a y^5 = y root")
@@ -303,28 +289,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("q", help="smallest prime with speed N")
     p.add_argument("n", type=int)
     p.add_argument("--cache", type=str, default=None)
-    p.add_argument("--budget", type=_count, default=None)
+    p.add_argument("--budget", type=_at_least(1), default=None)
     p.set_defaults(func=_cmd_q)
 
     p = sub.add_parser("table1", help="smallest bases: class 5 vs the rest")
-    p.add_argument("--max", type=_count, default=19)
+    p.add_argument("--max", type=_at_least(1), default=19)
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("table2", help="smallest primes per speed")
     p.add_argument("--max", type=int, default=21)
     p.add_argument("--extra", type=str, default=None)
     p.add_argument("--cache", type=str, default=None)
-    p.add_argument("--budget", type=_count, default=None)
+    p.add_argument("--budget", type=_at_least(1), default=None)
     p.set_defaults(func=_cmd_table2)
 
     p = sub.add_parser("verify", help="oracle-vs-formula sweep plus fixtures")
     p.add_argument("--sweep", type=int, required=True)
-    p.add_argument("--digits", type=int, default=None)
+    p.add_argument("--digits", **digits)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oeis", help="b-file export")
     p.add_argument("--min-bases", action="store_true", required=True)
-    p.add_argument("--terms", type=_count, required=True)
+    p.add_argument("--terms", type=_at_least(1), required=True)
     p.set_defaults(func=_cmd_oeis)
 
     return parser
@@ -334,11 +320,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = Config(digits=_default_digits(), output=args.output)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        out = args.func(args, config)
+        out = args.func(args)
     except (PrecisionError, primes.SearchBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -348,7 +330,7 @@ def main(argv=None) -> int:
     except (verify.FixtureMismatch, classes.FormulaMismatch, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    _write(out, config.output)
+    _write(out, args.output)
     return out.code
 
 

@@ -39,7 +39,12 @@ class DecadicResidue:
     @property
     def digits(self) -> tuple[int, ...]:
         """Digits s_1..s_n, least significant first."""
-        return tuple(int(c) for c in reversed(f"{self.value:0{self.n}d}"))
+        # In blocks of 1,000: Python refuses one int-to-str conversion above 4,300 digits.
+        out, rest = [], self.value
+        while len(out) < self.n:
+            rest, block = divmod(rest, 10**1000)
+            out += reversed(f"{block:01000d}")
+        return tuple(map(int, out[: self.n]))
 
 
 @functools.lru_cache(maxsize=None)

@@ -24,9 +24,14 @@ _EXTRA_HEIGHTS = 2
 
 # Cap on the per-length part of the stabilization floor.  Beyond ~60 digits
 # the floor len(a) + 3 would demand towers of thousands of heights at
-# matching precision; bases that long settle within a handful of heights
-# unless they agree with a universal root expansion for hundreds of digits,
-# which no feasible height scan could detect anyway.
+# matching precision, so every base of 62 or more digits is settled from
+# height 64, whatever its length.  How it fails: for a = 2^c - 1 (mod 2^(c+1)) with
+# a^2 = -1 mod 5^(c+1) but not mod 5^(c+2), V(a, b) = c + 1 at heights 2 to
+# c + 2 and c from height c + 3 on (lifting-the-exponent lemma), so for
+# c >= 62 constant_speed returns c + 1 instead of V(a) = c.  Such a base
+# agrees with a root of y^5 = y in only its last c digits (807 in 3,
+# 81666295807 in 11), not hundreds, and the family has a member below
+# 2^(c+1) * 5^(c+2), so about c + 1 digits suffice.
 _FLOOR_LENGTH_CAP = 61
 
 
@@ -184,15 +189,18 @@ def constant_speed(a: int, start_digits: int | None = None) -> int:
     return _settle(a, start_digits or _auto_digits(a))[0]
 
 
-def speed_profile(a: int, b_max: int, digits: int | None = None) -> SpeedProfile:
+def speed_profile(a: int, b_max: int | None = None, digits: int | None = None) -> SpeedProfile:
     """Per-height table of frozen digits and speeds up to b_max.
 
+    b_max defaults to the heights V(a) is settled over, stabilization_floor(a).
     With explicit digits the profile raises PrecisionError when that
     precision leaves a height up to b_max unresolved; the reported precision
     is the smallest doubling of the start (explicit or automatic) that
     resolves every height.
     """
     _require_valid_base(a)
+    if b_max is None:
+        b_max = stabilization_floor(a)
     if b_max < 1:
         raise ValueError("b_max must be >= 1")
     base = TetrationBase.from_int(a)

@@ -144,6 +144,15 @@ class TestMinBaseClass:
             for n in (2, 3):
                 assert min_base_class(s1, n) == take(class_spec(s1, n).members(), 1)[0]
 
+    @pytest.mark.parametrize("s1", [1, 2, 3, 4, 6, 7, 8, 9])
+    def test_speed_one_by_oracle(self, s1):
+        want = min(a for a in range(2, 200) if a % 10 == s1 and constant_speed(a) == 1)
+        assert min_base_class(s1, 1) == want
+
+    def test_empty_class_names_digit_and_speed(self):
+        with pytest.raises(ValueError, match="last digit 5 has speed 1"):
+            min_base_class(5, 1)
+
     def test_mirror_identity_classes_4_6(self):
         for n in range(2, 61):
             assert min_base_class(4, n) + 2 == min_base_class(6, n)

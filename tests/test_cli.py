@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from congspeed import arith, classes, cli, speed
+from congspeed import arith, classes, cli, decadic, speed
 
 
 def run(capsys, *argv):
@@ -165,6 +165,14 @@ class TestCounts:
         code, err = usage_error(capsys, *command, "--budget", value)
         assert code == 2 and len(err) == 1 and "--budget" in err[0]
 
+    @pytest.mark.parametrize("command", [["speed", "7", "--height", "3"],
+                                         ["profile", "2", "--max-height", "5"],
+                                         ["verify", "--sweep", "20"]])
+    @pytest.mark.parametrize("value", ["0", "8", "-1"])
+    def test_digits(self, capsys, command, value):
+        code, err = usage_error(capsys, *command, "--digits", value)
+        assert code == 2 and len(err) == 1 and "--digits" in err[0]
+
     def test_non_integer_message_kept(self, capsys):
         code, err = usage_error(capsys, "class", "2", "4", "--count", "x")
         assert code == 2 and err[0].endswith("argument --count: invalid int value: 'x'")
@@ -313,6 +321,32 @@ class TestExitCodes:
         assert cli.main(["speed", "7"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "did not stabilize" in err[0]
+
+
+class TestClassEdges:
+    def test_min_base_speed_one(self, capsys):
+        assert run(capsys, "min-base", "1", "--class", "3") == (0, "3\n")
+
+    def test_min_base_empty_class_is_2(self, capsys):
+        assert cli.main(["min-base", "1", "--class", "5"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_root_above_str_limit(self, capsys):
+        code, out = run(capsys, "root", "1", "--digits", "5000")
+        text = out.rstrip("\n")
+        assert code == 0 and len(text) == 5000
+        value = decadic.root_residue(1, 5000).value
+        for c in reversed(text):
+            value, digit = divmod(value, 10)
+            assert int(c) == digit
+        assert value == 0
+
+
+class TestEnvDigitsScope:
+    def test_ignored_without_digits_option(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_DIGITS, "8")
+        assert run(capsys, "min-base", "3") == (0, "25\n")
 
 
 class TestEnvDigits:

@@ -1,6 +1,12 @@
 import pytest
 
-from congspeed.decadic import idempotents, root_digit, ROOT_LAST_DIGIT, root_residue
+from congspeed.decadic import (
+    DecadicResidue,
+    idempotents,
+    root_digit,
+    ROOT_LAST_DIGIT,
+    root_residue,
+)
 from congspeed.speed import constant_speed
 
 from reference_tails import ROOT_TAILS
@@ -85,6 +91,15 @@ class TestRoots:
         assert res.value == 95807
         assert res.digits == (7, 0, 8, 5, 9)
         assert root_digit(9, 4) == 5
+
+    @pytest.mark.parametrize("n", [999, 1000, 1001, 2001])
+    def test_digits_across_blocks(self, n):
+        res = root_residue(10, n)
+        assert res.digits == tuple(int(c) for c in reversed(f"{res.value:0{n}d}"))
+
+    def test_digits_above_str_limit(self):
+        # Root 13 is -1, so every digit is 9; one int-to-str of 5,000 digits raises.
+        assert DecadicResidue(13, 5000, 10**5000 - 1).digits == (9,) * 5000
 
     def test_unit_root_alternative_form(self):
         # root 1 = 1 - 2h = 2 r^4 - 1 = 2^(4*5^n + 1) - 1, since r^4 = 1 - h
