@@ -15,7 +15,6 @@ from .classes import (
     FormulaMismatch,
     min_base,
     min_base_class,
-    min_base_lift,
     ProgressionFamily,
     speed_by_formula,
     speed_by_membership,
@@ -51,7 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "carmichael", "digit_length", "tower_residues", "valuation",
     "class5_closed_form", "class_spec", "ClassSpec", "FormulaMismatch", "min_base",
-    "min_base_class", "min_base_lift", "ProgressionFamily",
+    "min_base_class", "ProgressionFamily",
     "speed_by_formula", "speed_by_membership", "speed_one_residues",
     "table1_rows", "valuation_bound",
     "DecadicResidue", "idempotents", "IdempotentPair", "root_residue",

@@ -1,13 +1,14 @@
 """Residue-class map of the constant congruence speed.
 
 For each last digit s1 and target speed n >= 2 the bases with V(a) = n form
-a finite union of arithmetic progressions: truncated roots of y^5 = y
-shifted by 10^n (odd coprime classes), the reduced root residues shifted by
-2 * 5^n (even classes), 5^n -+ 1 shifted by 2 * 5^n (classes 4 and 6), and
-two closed-form bases shifted by 10 * 2^n (class 5).  Speed 1 is a plain
-residue test modulo 25, so its classes are residues modulo 50 (class 5 has
-none).  A direct valuation formula for V(a) is derived from the same
-structure and cross-checked against class membership.
+one arithmetic progression per root y of y^5 = y that ends in s1 (for s1 = 1
+the trivial root 1 too): y modulo M(n), stepped by M(n), minus the one
+shift that agrees with y modulo M(n+1).  M(n) is 10^n for odd last digits
+and 2 * 5^n for even ones.  Class 5 keeps the paper's closed form, two
+bases shifted by 10 * 2^n.  Speed 1 is a plain residue test modulo 25, so
+its classes are residues modulo 50 (class 5 has none).  A direct valuation
+formula for V(a) is derived from the same structure and cross-checked
+against class membership.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import decadic
 from .arith import valuation
@@ -95,11 +96,17 @@ class ClassSpec:
         return min(f.smallest() for f in self.families)
 
 
-def _root_family(i: int, n: int) -> ProgressionFamily:
-    # Shifting the n-digit root truncation by anything except its own
-    # (n+1)-th digit pins the speed at exactly n.
-    base = decadic.root_residue(i, n).value
-    return ProgressionFamily(base, 10**n, frozenset({decadic.root_digit(i, n + 1)}), 10)
+# The roots of y^5 = y behind each speed class, by last digit; 0 is the trivial root 1.
+_CLASS_ROOTS = {1: (1, 0), 2: (2,), 3: (3, 4), 4: (5,), 6: (8,), 7: (9, 10), 8: (11,), 9: (12, 13)}
+
+
+def _root_family(i: int, n: int, mod: Callable[[int], int]) -> ProgressionFamily:
+    # Root i modulo mod(n), shifted by any multiple of mod(n) except the one
+    # that still agrees with the root modulo mod(n + 1): speed exactly n.
+    root = decadic.root_residue(i, n + 1).value if i else 1
+    step, nxt = mod(n), mod(n + 1)
+    base = root % step
+    return ProgressionFamily(base, step, frozenset({(root % nxt - base) // step}), nxt // step)
 
 
 def class5_bases(n: int) -> tuple[int, int]:
@@ -120,28 +127,6 @@ def class5_bases_signed(n: int) -> tuple[int, int]:
     )
 
 
-def min_base_lift(s1: int, n: int) -> int:
-    """0/1 lift: whether 2 * 5^n must be added to the reduced even-class root.
-
-    The lift is 1 exactly when the n- and (n+1)-digit roots reduce to the
-    same residue, i.e. when the plain reduction already has speed n + 1.
-    """
-    if s1 not in (2, 8):
-        raise ValueError("lift is defined for last digits 2 and 8 only")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    i = 2 if s1 == 2 else 11
-    cur = decadic.root_residue(i, n).value % (2 * 5**n)
-    nxt = decadic.root_residue(i, n + 1).value % (2 * 5 ** (n + 1))
-    return 1 if cur == nxt else 0
-
-
-def _even_min_base(s1: int, n: int) -> int:
-    i = 2 if s1 == 2 else 11
-    step = 2 * 5**n
-    return decadic.root_residue(i, n).value % step + min_base_lift(s1, n) * step
-
-
 @functools.lru_cache(maxsize=None)
 def class_spec(s1: int, n: int) -> ClassSpec:
     """The progression families making up the speed-n class of last digit s1."""
@@ -149,40 +134,14 @@ def class_spec(s1: int, n: int) -> ClassSpec:
         raise ValueError(f"last digit must be 1..9, got {s1}")
     if n < 1:
         raise ValueError(f"speed must be at least 1, got {n}")
-    ten = 10**n
-    two5 = 2 * 5**n
     if n == 1:  # the residues modulo 50 with last digit s1 and a % 25 in V1_RESIDUES
         fams = tuple(ProgressionFamily(b, 50, frozenset()) for b in range(2, 52)
                      if b % 10 == s1 and b % 25 in V1_RESIDUES)
-    elif s1 == 1:
-        fams = (
-            _root_family(1, n),
-            ProgressionFamily(ten + 1, ten, frozenset({9}), 10),
-        )
-    elif s1 == 9:
-        fams = (
-            _root_family(12, n),
-            ProgressionFamily(ten - 1, ten, frozenset({9}), 10),
-        )
-    elif s1 == 3:
-        fams = (_root_family(3, n), _root_family(4, n))
-    elif s1 == 7:
-        fams = (_root_family(9, n), _root_family(10, n))
     elif s1 == 5:
-        b1, b2 = class5_bases(n)
-        fams = (
-            ProgressionFamily(b1, 10 * 2**n, frozenset(), 10),
-            ProgressionFamily(b2, 10 * 2**n, frozenset(), 10),
-        )
-    elif s1 in (4, 6):
-        base = 5**n - 1 if s1 == 4 else 5**n + 1
-        fams = (ProgressionFamily(base, two5, frozenset({2}), 5),)
-    else:  # 2, 8
-        base = _even_min_base(s1, n)
-        nxt = _even_min_base(s1, n + 1)
-        fams = (
-            ProgressionFamily(base, two5, frozenset({(nxt - base) // two5 % 5}), 5),
-        )
+        fams = tuple(ProgressionFamily(b, 10 * 2**n, frozenset(), 10) for b in class5_bases(n))
+    else:
+        mod = (lambda k: 10**k) if s1 % 2 else (lambda k: 2 * 5**k)
+        fams = tuple(_root_family(i, n, mod) for i in _CLASS_ROOTS[s1])
     return ClassSpec(s1, n, fams)
 
 

@@ -214,12 +214,13 @@ def _cmd_table2(args) -> Output:
 
 
 def _cmd_verify(args) -> Output:
+    # The sweep checks its range, so a bad one fails before the costly fixture runs.
+    report = verify.sweep(2, args.sweep, precision=max(40, args.digits))
     try:
         verify.phase_shift_fixture()
         fixture_ok = True
     except verify.FixtureMismatch:
         fixture_ok = False
-    report = verify.sweep(2, args.sweep, precision=max(40, args.digits))
     lines = [
         f"phase-shift fixture: {'ok' if fixture_ok else 'MISMATCH'}",
         f"sweep 2..{args.sweep} @ {report.precision} digits: {len(report.mismatches)} mismatches",

@@ -4,7 +4,8 @@ nontrivial roots of y^5 = y.
 The two generators are h(n) = 5^(2^n) mod 10^n and r(n) = 2^(5^n) mod 10^n.
 h is idempotent; r is the Teichmueller-style lift of 2 on the 5-adic side,
 with r^2 + 1 = h and r^4 = 1 - h modulo 10^n.  Every nontrivial root of
-y^5 = y modulo 10^n is a small signed combination of h and r.
+y^5 = y modulo 10^n is a small signed combination of 1, h and r.  r costs
+far more than h, so only the six roots that use it compute it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,13 @@ from dataclasses import dataclass
 ROOT_LAST_DIGIT = {
     1: 1, 2: 2, 3: 3, 4: 3, 5: 4, 6: 5, 7: 5,
     8: 6, 9: 7, 10: 7, 11: 8, 12: 9, 13: 9,
+}
+
+# Root i as c + kh * h + kr * r modulo 10^n, stored as (c, kh, kr).
+_ROOT_COEFFS = {
+    1: (1, -2, 0), 2: (0, 0, 1), 3: (0, 1, -1), 4: (0, -1, -1), 5: (-1, 1, 0),
+    6: (0, 1, 0), 7: (0, -1, 0), 8: (1, -1, 0), 9: (0, -1, 1), 10: (0, 1, 1),
+    11: (0, 0, -1), 12: (-1, 2, 0), 13: (-1, 0, 0),
 }
 
 
@@ -48,19 +56,27 @@ class DecadicResidue:
 
 
 @functools.lru_cache(maxsize=None)
+def _h(n: int) -> int:
+    # 1 mod 2^n and 0 mod 5^n.
+    five = 5**n
+    return five * pow(five, -1, 2**n)
+
+
+@functools.lru_cache(maxsize=None)
+def _r(n: int) -> int:
+    # 0 mod 2^n and, since 2 has order 4 * 5^(n-1) mod 5^n, 2^(5^(n-1)) mod 5^n;
+    # 1 - h carries that residue over to mod 10^n.
+    return pow(2, 5 ** (n - 1), 5**n) * (1 - _h(n)) % (10**n)
+
+
 def idempotents(n: int) -> IdempotentPair:
     """h(n) = 5^(2^n) and r(n) = 2^(5^n), both mod 10^n, built by CRT.
 
-    h is 1 mod 2^n and 0 mod 5^n.  r is 0 mod 2^n and, since 2 has order
-    4 * 5^(n-1) mod 5^n, 2^(5^(n-1)) mod 5^n; 1 - h carries that residue
-    over to mod 10^n.  Neither takes a power modulo 10^n.
+    Neither takes a power modulo 10^n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    five = 5**n
-    h = five * pow(five, -1, 2**n)
-    r = pow(2, 5 ** (n - 1), five) * (1 - h) % (10**n)
-    return IdempotentPair(n, h, r)
+    return IdempotentPair(n, _h(n), _r(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -70,30 +86,8 @@ def root_residue(i: int, n: int) -> DecadicResidue:
         raise ValueError(f"root index must be in 1..13, got {i}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    pair = idempotents(n)
-    h, r, m = pair.h, pair.r, 10**n
-    combos = {
-        1: 1 - 2 * h,
-        2: r,
-        3: h - r,
-        4: -h - r,
-        5: h - 1,
-        6: h,
-        7: -h,
-        8: 1 - h,
-        9: r - h,
-        10: h + r,
-        11: -r,
-        12: 2 * h - 1,
-        13: -1,
-    }
-    value = combos[i] % m
+    c, kh, kr = _ROOT_COEFFS[i]
+    value = (c + kh * _h(n) + (kr * _r(n) if kr else 0)) % 10**n
     if value % 10 != ROOT_LAST_DIGIT[i]:  # pragma: no cover - structural guarantee
         raise AssertionError(f"root {i} truncation has wrong last digit")
     return DecadicResidue(i, n, value)
-
-
-def root_digit(i: int, pos: int) -> int:
-    """Digit s_pos of root i (pos >= 1, least significant is s_1)."""
-    return root_residue(i, pos).value // 10 ** (pos - 1) % 10
-

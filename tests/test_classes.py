@@ -1,4 +1,6 @@
+import heapq
 import itertools
+import random
 
 import pytest
 
@@ -10,7 +12,6 @@ from congspeed.classes import (
     class_spec,
     min_base,
     min_base_class,
-    min_base_lift,
     min_base_piecewise,
     min_base_signed,
     min_base_trig,
@@ -23,6 +24,8 @@ from congspeed.classes import (
 )
 from congspeed.decadic import root_residue
 from congspeed.speed import constant_speed, UndefinedSpeedError
+
+import reference_classes
 
 
 def take(it, k):
@@ -103,15 +106,46 @@ class TestClassSpec:
             assert not (m1 & m2)
 
 
-class TestMinBaseLift:
-    def test_fixtures(self):
-        assert min_base_lift(8, 9) == 1
-        assert min_base_lift(2, 4) == 0
-        assert min_base_lift(2, 14) == 1
+class TestOneRootRule:
+    """`class_spec` against independent constructions of the same classes."""
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            min_base_lift(4, 3)
+    @pytest.mark.parametrize("s1", [1, 2, 3, 4, 6, 7, 8, 9])
+    def test_matches_reference_construction(self, s1):
+        rng = random.Random(s1)
+        for n in range(2, 81):
+            spec = class_spec(s1, n)
+            ref = reference_classes.families(s1, n)
+            want = take(heapq.merge(*(f.members() for f in ref)), 50)
+            assert take(spec.members(), 50) == want, (s1, n)
+            assert spec.smallest() == min(f.smallest() for f in ref) == want[0]
+            top = 3 * 10 ** (n + 1)
+            probes = [1, *want, *(w + 10 for w in want)]
+            probes += [rng.randrange(top) // 10 * 10 + s1 for _ in range(100)]
+            if s1 in (2, 8):
+                low = reference_classes.lifted_residue(s1, n)
+                probes += [low, low + 2 * 5**n]
+            for a in probes:
+                assert spec.contains(a) == any(f.contains(a) for f in ref), (s1, n, a)
+
+    def test_lifted_cases(self):
+        # The even classes where the reduced root already has speed n + 1.
+        assert [reference_classes.lift(s1, n) for s1, n in ((8, 9), (2, 4), (2, 14))] == [1, 0, 1]
+        for s1, n in ((8, 9), (2, 14)):
+            low = reference_classes.lifted_residue(s1, n)
+            assert not class_spec(s1, n).contains(low)
+            assert class_spec(s1, n + 1).contains(low)
+
+    def test_class5_closed_form_is_the_root_rule(self):
+        # Roots 6 and 7 (h and -h) with M(n) = 5 * 2^n give the trig closed form.
+        mod = lambda k: 5 * 2**k  # noqa: E731
+        for n in range(2, 81):
+            fams = [classes._root_family(i, n, mod) for i in (6, 7)]
+            want = take(heapq.merge(*(f.members() for f in fams)), 50)
+            spec = class_spec(5, n)
+            assert take(spec.members(), 50) == want, n
+            assert spec.smallest() == want[0]
+            for a in [*want, *(w + 5 * 2**n for w in want)]:
+                assert spec.contains(a) == any(f.contains(a) for f in fams), (n, a)
 
 
 class TestMinBaseClass:

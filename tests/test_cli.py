@@ -300,6 +300,20 @@ class TestExitCodes:
         monkeypatch.setattr(verify, "PHASE_SHIFT_SPEEDS", (9, 9, 9, 9, 9, 9))
         assert cli.main(["verify", "--sweep", "50"]) == 3
 
+    @pytest.mark.parametrize("top,message", [
+        ("1", "bad sweep range"),
+        ("2000000", "sweep is a desk-scale tool; a_max is capped at 10^6"),
+    ])
+    def test_bad_sweep_skips_fixture(self, capsys, monkeypatch, top, message):
+        from congspeed import verify
+
+        def fixture():
+            pytest.fail("phase-shift fixture ran before the sweep range was checked")
+
+        monkeypatch.setattr(verify, "phase_shift_fixture", fixture)
+        assert cli.main(["verify", "--sweep", top]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_base_is_2(self, capsys):
         assert cli.main(["speed", "40"]) == 2
 

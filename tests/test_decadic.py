@@ -1,9 +1,9 @@
 import pytest
 
+from congspeed import decadic
 from congspeed.decadic import (
     DecadicResidue,
     idempotents,
-    root_digit,
     ROOT_LAST_DIGIT,
     root_residue,
 )
@@ -90,7 +90,7 @@ class TestRoots:
         res = root_residue(9, 5)
         assert res.value == 95807
         assert res.digits == (7, 0, 8, 5, 9)
-        assert root_digit(9, 4) == 5
+        assert root_residue(9, 4).digits[-1] == 5
 
     @pytest.mark.parametrize("n", [999, 1000, 1001, 2001])
     def test_digits_across_blocks(self, n):
@@ -100,6 +100,19 @@ class TestRoots:
     def test_digits_above_str_limit(self):
         # Root 13 is -1, so every digit is 9; one int-to-str of 5,000 digits raises.
         assert DecadicResidue(13, 5000, 10**5000 - 1).digits == (9,) * 5000
+
+    def test_h_only_roots_never_evaluate_r(self, monkeypatch):
+        # r(n) is one power modulo 5^n with a 5^(n-1) exponent; h is one inverse.
+        calls = []
+        r = decadic._r
+        monkeypatch.setattr(decadic, "_r", lambda n: calls.append(n) or r(n))
+        decadic.root_residue.cache_clear()
+        for i in (1, 5, 6, 7, 8, 12, 13):
+            decadic.root_residue(i, 3001)
+        assert calls == []
+        for i in (2, 3, 4, 9, 10, 11):
+            decadic.root_residue(i, 31)
+        assert calls == [31] * 6
 
     def test_unit_root_alternative_form(self):
         # root 1 = 1 - 2h = 2 r^4 - 1 = 2^(4*5^n + 1) - 1, since r^4 = 1 - h
@@ -116,7 +129,7 @@ class TestOracleLink:
             for n in range(2, 13):
                 v = constant_speed(root_residue(i, n).value)
                 assert v >= n
-                if root_digit(i, n + 1) != 0:
+                if root_residue(i, n + 1).digits[n] != 0:
                     assert v == n
                 else:
                     assert v > n
