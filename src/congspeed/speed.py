@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from . import arith
 
-# Heights to compute beyond the earliest possible stabilization point.
-_EXTRA_HEIGHTS = 2
+# Working precision an automatic query starts from.
+_START_DIGITS = 64
 
 # Cap on the per-length part of the stabilization floor.  Beyond ~60 digits
 # the floor len(a) + 3 would demand towers of thousands of heights at
@@ -144,49 +144,54 @@ def stabilization_floor(a: int) -> int:
     return min(arith.digit_length(a), _FLOOR_LENGTH_CAP) + 3
 
 
-def _auto_digits(a: int) -> int:
-    return max(64, 8 * (min(arith.digit_length(a), _FLOOR_LENGTH_CAP) + 8))
-
-
 def _settle(a: int, digits: int, b_max: int = 0, strict: bool = False) -> tuple[int, list]:
-    """(V(a), nus) for a > 1, nus exact over at least max(b_hi, b_max) heights.
+    """(V(a), nus) for a > 1, nus exact over at least max(floor, b_max) heights.
 
-    Precision starts at `digits` and doubles until every height in the
-    table is resolved (no None); with `strict`, a None among the first
-    b_max heights at the starting precision raises PrecisionError instead.
-    Heights grow in steps of 3 until three consecutive heights at or after
-    len(a) + 3 agree.
+    The first table stops at the floor height (or b_max); heights grow by 3
+    until three consecutive speeds at or after the floor agree, up to the
+    last height max(floor + 2, b_max) + 3k within floor + 61 (or b_max).  A
+    None at height h + 1 leaves nu(1..h) exact: the retry carries
+    s = nu(h) - nu(h-1) from nu(h+1) >= digits to the top height and at
+    least doubles the digits.  With `strict`, a None among the first b_max
+    heights raises PrecisionError instead.
     """
     floor_b = stabilization_floor(a)
-    b_hi = max(floor_b + _EXTRA_HEIGHTS, b_max)
+    b_hi = max(floor_b, b_max)
+    b_last = max(floor_b + 2, b_max)
+    b_last += max(0, floor_b + 61 - b_last) // 3 * 3
     while True:
         nus = _frozen_table(a, b_hi, digits)
         if None in nus:
             if strict and None in nus[:b_max]:
                 raise _exhausted(digits)
-            digits *= 2
+            h = nus.index(None)
+            if h < 2:
+                digits *= 2
+            else:
+                s = nus[h - 1] - nus[h - 2]
+                digits = max(2 * digits, max(nus[h - 1] + s, digits) + s * (b_hi - h - 1) + 1)
             continue
         v = _stable_speed(nus, floor_b)
         if v is not None:
             return v, nus
-        b_hi += 3
-        if b_hi > floor_b + 61:
+        if b_hi >= b_last:
             raise PrecisionError(f"speed of {a} did not stabilize by height {b_hi}")
+        b_hi = min(b_hi + 3, b_last)
 
 
 def constant_speed(a: int, start_digits: int | None = None) -> int:
     """The constant congruence speed V(a).
 
-    V(1) = 0.  Otherwise heights are scanned upward with adaptive precision
-    until three consecutive heights agree at height >= len(a) + 3, which
-    also rides out the bases whose speed runs one high through height
-    len(a) + 2.  For bases longer than 61 digits the floor is capped at
-    height 64 (see _FLOOR_LENGTH_CAP).
+    V(1) = 0.  Otherwise three consecutive heights must agree at height
+    >= len(a) + 3, which rides out the bases whose speed runs one high
+    through height len(a) + 2; for bases longer than 61 digits the floor is
+    capped at height 64 (see _FLOOR_LENGTH_CAP).  Precision starts at
+    start_digits (64 by default) and grows as _settle describes.
     """
     _require_valid_base(a)
     if a == 1:
         return 0
-    return _settle(a, start_digits or _auto_digits(a))[0]
+    return _settle(a, start_digits or _START_DIGITS)[0]
 
 
 def speed_profile(a: int, b_max: int | None = None, digits: int | None = None) -> SpeedProfile:
@@ -195,8 +200,8 @@ def speed_profile(a: int, b_max: int | None = None, digits: int | None = None) -
     b_max defaults to the heights V(a) is settled over, stabilization_floor(a).
     With explicit digits the profile raises PrecisionError when that
     precision leaves a height up to b_max unresolved; the reported precision
-    is the smallest doubling of the start (explicit or automatic) that
-    resolves every height.
+    is the smallest doubling of the start (explicit, or 64) that resolves
+    every height.
     """
     _require_valid_base(a)
     if b_max is None:
@@ -204,10 +209,10 @@ def speed_profile(a: int, b_max: int | None = None, digits: int | None = None) -
     if b_max < 1:
         raise ValueError("b_max must be >= 1")
     base = TetrationBase.from_int(a)
+    n = digits or _START_DIGITS
     if a == 1:
         entries = tuple(ProfileEntry(b, None, 0) for b in range(1, b_max + 1))
-        return SpeedProfile(base, digits or 64, entries, 0)
-    n = digits or _auto_digits(a)
+        return SpeedProfile(base, n, entries, 0)
     const, nus = _settle(a, n, b_max, strict=digits is not None)
     nus = nus[:b_max]
     while max(nus) >= n:

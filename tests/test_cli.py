@@ -1,10 +1,11 @@
 import csv
+import functools
 import io
 import json
 
 import pytest
 
-from congspeed import arith, classes, cli, decadic, speed
+from congspeed import arith, classes, cli, decadic, speed, verify
 
 
 def run(capsys, *argv):
@@ -397,6 +398,26 @@ class TestWorkCounts:
     def test_speed_builds_at_most_two_tables(self, capsys, monkeypatch):
         calls = _counting(monkeypatch, arith, "tower_residues")
         assert run(capsys, "speed", "163574218751") == (0, "13\n")
+        assert len(calls) <= 2
+
+    def test_long_coprime_speed_builds_two_narrow_tables(self, capsys, monkeypatch):
+        # 70 digits: the floor height 64 at a flat 64-digit start, then one
+        # retry sized from the resolved heights
+        calls = _counting(monkeypatch, arith, "tower_residues")
+        assert run(capsys, "speed", "1234567891" * 7) == (0, "1\n")
+        assert len(calls) <= 2
+        assert max(digits for _, _, digits in calls) <= 128
+
+    def test_phase_shift_fixture_builds_at_most_two_tables(self, monkeypatch):
+        calls = _counting(monkeypatch, arith, "tower_residues")
+        uncached = functools.lru_cache(maxsize=1)(verify._phase_shift_profile.__wrapped__)
+        monkeypatch.setattr(verify, "_phase_shift_profile", uncached)
+        assert verify.phase_shift_fixture().constant_speed == 4
+        assert len(calls) <= 2
+
+    def test_q20_oracle_check_builds_at_most_two_tables(self, monkeypatch):
+        calls = _counting(monkeypatch, arith, "tower_residues")
+        assert speed.constant_speed(3640476581907922943) == 20
         assert len(calls) <= 2
 
     def test_table2_reads_cache_once(self, capsys, monkeypatch, tmp_path):

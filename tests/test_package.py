@@ -25,6 +25,25 @@ def test_exports_are_the_imported_public_names():
     assert sorted(congspeed.__all__) == sorted(n for n in imported if not n.startswith("_"))
 
 
+def test_oracle_imports_nothing_from_the_formula_side():
+    # The oracle is the independent check on the formula system and the
+    # prime search, so speed.py and arith.py must not reach them.
+    formula_side = {"classes", "decadic", "primes", "verify"}
+    package = Path(congspeed.__file__).parent
+    for name in ("speed.py", "arith.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                prefix = node.module or ""
+                modules = [prefix] + [f"{prefix}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                assert not formula_side & set(module.split(".")), (name, module)
+
+
 def test_python_m_runs_the_cli():
     src = str(Path(congspeed.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

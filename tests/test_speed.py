@@ -1,13 +1,20 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_settle
 from congspeed import arith
+from congspeed.classes import class_spec
 from congspeed.speed import (
     _frozen_table,
+    _settle,
     constant_speed,
     PrecisionError,
     speed_at_height,
     speed_profile,
+    stabilization_floor,
     TetrationBase,
     UndefinedSpeedError,
 )
@@ -180,3 +187,53 @@ class TestResolvedIsExact:
                 speed_at_height(a, b, n)
         else:
             assert speed_at_height(a, b, n) == wide[-1] - (wide[-2] if b > 1 else 0)
+
+
+def assert_settles_like_reference(a, start=64, reference_start=None):
+    """The settle loop gives the reference loop's V and the same nu at every
+    height both built; built to the reference's height, the table is equal."""
+    ref_v, ref_nus = reference_settle.settle(a, reference_start)
+    v, nus = _settle(a, start)
+    n = min(len(nus), len(ref_nus))
+    assert (v, nus[:n]) == (ref_v, ref_nus[:n]), a
+    assert len(nus) >= stabilization_floor(a), a
+    assert _settle(a, start, len(ref_nus)) == (ref_v, ref_nus), a
+
+
+class TestSettleMatchesReference:
+    """`_settle` against tests/reference_settle.py: tables to floor + 2
+    heights, a length-based start and blind doubling."""
+
+    def test_every_base_to_3000_at_40_digits(self):
+        for a in range(2, 3001):
+            if a % 10:
+                assert_settles_like_reference(a, 40, 40)
+
+    def test_seeded_long_bases_at_default_start(self):
+        rng = random.Random(2208)
+        for _ in range(10):
+            length = rng.randint(7, 40)
+            a = rng.randrange(10 ** (length - 1), 10**length)
+            if a % 10 == 0:
+                a += 1
+            assert_settles_like_reference(a)
+
+    @pytest.mark.parametrize("s1", [1, 2, 3, 7, 8, 9])
+    def test_first_two_class_members(self, s1):
+        # The reference starts at (v + 1) * (len + 6) digits, enough for its
+        # first table: every nu it reads is exact at any precision, so the
+        # start changes only its cost.  The full-table comparison of the
+        # other sets would add half the cost of this one.
+        for v in range(8, 22):
+            for a in itertools.islice(class_spec(s1, v).members(), 2):
+                length = arith.digit_length(a)
+                ref_v, ref_nus = reference_settle.settle(a, (v + 1) * (length + 6))
+                got_v, nus = _settle(a, 64)
+                n = min(len(nus), len(ref_nus))
+                assert (got_v, nus[:n]) == (ref_v, ref_nus[:n]) and ref_v == v, a
+
+    def test_anomalous_family_members(self):
+        # a = 2^c - 1 mod 2^(c+1), a^2 = -1 mod 5^(c+1): speed c + 1 through
+        # height c + 2, c after
+        for a in (807, 407922943, 31666295807, 81666295807):
+            assert_settles_like_reference(a)
