@@ -3,8 +3,8 @@
 Big integers are always serialized as decimal strings in JSON so output
 survives any consumer.  Every failure prints one `error:` line to stderr
 and exits with 1 (precision or search budget exhausted), 2 (usage error,
-including a base divisible by 10) or 3 (verification failure: a fixture
-or formula mismatch, or a `q` cache line that is torn or fails its check).
+including a base divisible by 10) or 3 (verification failure: a fixture,
+formula or oracle-certificate mismatch, or a torn or failing `q` cache line).
 `--digits` (default TCS_DIGITS, else 64; at least 16 either way) sets the
 working precision of `speed --height` and `profile` and the starting
 precision of `verify`; `speed` without `--height` chooses and grows its own.
@@ -22,10 +22,7 @@ from typing import NamedTuple
 from . import classes, decadic, primes, verify
 from .primes import PrimeSpeedRecord
 from .speed import (
-    PrecisionError,
-    UndefinedSpeedError,
-    speed_at_height,
-    speed_profile,
+    CertificateMismatch, PrecisionError, UndefinedSpeedError, speed_at_height, speed_profile,
 )
 
 ENV_DIGITS = "TCS_DIGITS"
@@ -328,7 +325,7 @@ def main(argv=None) -> int:
     except (UndefinedSpeedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (verify.FixtureMismatch, classes.FormulaMismatch, CacheError) as exc:
+    except (verify.FixtureMismatch, classes.FormulaMismatch, CertificateMismatch, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     _write(out, args.output)

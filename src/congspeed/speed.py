@@ -1,16 +1,13 @@
 """Congruence speed of integer tetration, straight from the definition.
 
-The frozen-digit count nu(b) is the 10-adic valuation of ^(b+1)a - ^b a,
-i.e. how many trailing decimal digits the tower shares with the next taller
-tower.  The speed at height b is nu(b) - nu(b-1), with nu(0) taken as 0 so
-the height-1 speed equals nu(1).  For every base not divisible by 10 the
-speed settles to a constant once the height is large enough; this module
-computes that constant by watching the per-height speeds stabilize.
-
-The tower residues are exact modulo 10^N, since clamping exponents along
-the Carmichael chain is an identity, so every nu below N read from them is
-the true valuation.  The one height N digits cannot resolve is where both
-towers agree in all N digits (None), and only that calls for more digits.
+The frozen-digit count nu(b) is the 10-adic valuation of ^(b+1)a - ^b a, and
+the speed at height b is nu(b) - nu(b-1) (nu(0) = 0).  nu(b) = min(t2(b),
+t5(b)), the 2- and 5-adic valuations of the same difference.  By the
+lifting-the-exponent lemma a side whose prime does not divide a is affine in
+b from height 2 and the other side grows like ^(b-1)a, so V(a) is the smaller
+slope of the affine sides; the oracle certifies this from its own tower
+residues at heights 1-4 (_certify).  The residues are exact modulo 10^N (the
+Carmichael-chain clamp is an identity), so every valuation below N is true.
 """
 
 from __future__ import annotations
@@ -22,16 +19,9 @@ from . import arith
 # Working precision an automatic query starts from.
 _START_DIGITS = 64
 
-# Cap on the per-length part of the stabilization floor.  Beyond ~60 digits
-# the floor len(a) + 3 would demand towers of thousands of heights at
-# matching precision, so every base of 62 or more digits is settled from
-# height 64, whatever its length.  How it fails: for a = 2^c - 1 (mod 2^(c+1)) with
-# a^2 = -1 mod 5^(c+1) but not mod 5^(c+2), V(a, b) = c + 1 at heights 2 to
-# c + 2 and c from height c + 3 on (lifting-the-exponent lemma), so for
-# c >= 62 constant_speed returns c + 1 instead of V(a) = c.  Such a base
-# agrees with a root of y^5 = y in only its last c digits (807 in 3,
-# 81666295807 in 11), not hundreds, and the family has a member below
-# 2^(c+1) * 5^(c+2), so about c + 1 digits suffice.
+# Cap on the per-length part of the stabilization floor, the default depth
+# of speed_profile: past ~60 digits len(a) + 3 heights would need thousands
+# of digits, so a base of 62 or more digits is profiled to height 64.
 _FLOOR_LENGTH_CAP = 61
 
 
@@ -41,6 +31,10 @@ class UndefinedSpeedError(ValueError):
 
 class PrecisionError(RuntimeError):
     """The requested working precision cannot resolve the answer."""
+
+
+class CertificateMismatch(RuntimeError):
+    """The tower residues contradict the certified frozen-digit lines."""
 
 
 def _exhausted(digits: int) -> PrecisionError:
@@ -89,23 +83,25 @@ def _require_valid_base(a: int) -> None:
         raise UndefinedSpeedError(f"undefined congruence speed for a = {a}")
 
 
-def _trailing_zeros(x: int) -> int:
-    n = 0
-    while x % 10 == 0:
-        x //= 10
-        n += 1
-    return n
+def _side_reads(a: int, b_max: int, digits: int) -> tuple[list, list]:
+    """t2(1..b_max), t5(1..b_max) off towers mod 10^digits; None for >= digits."""
+    towers = arith.tower_residues(a, b_max + 1, digits)
+    reads: tuple[list, list] = ([], [])
+    for b in range(1, b_max + 1):
+        diff = (towers[b] - towers[b - 1]) % 10**digits
+        for p, t in zip((2, 5), reads):
+            nu = arith.valuation(p, diff) if diff else digits
+            t.append(nu if nu < digits else None)
+    return reads
+
+
+def _nus(reads: tuple[list, list]) -> list:
+    return [min((x for x in pair if x is not None), default=None) for pair in zip(*reads)]
 
 
 def _frozen_table(a: int, b_max: int, digits: int) -> list:
-    """nu(1..b_max) from residues mod 10^digits; None where all digits agree."""
-    towers = arith.tower_residues(a, b_max + 1, digits)
-    mod = 10**digits
-    out = []
-    for b in range(1, b_max + 1):
-        diff = (towers[b] - towers[b - 1]) % mod
-        out.append(None if diff == 0 else _trailing_zeros(diff))
-    return out
+    """nu(1..b_max) = min(t2, t5) mod 10^digits; None where all digits agree."""
+    return _nus(_side_reads(a, b_max, digits))
 
 
 def speed_at_height(a: int, b: int, digits: int) -> int:
@@ -118,90 +114,92 @@ def speed_at_height(a: int, b: int, digits: int) -> int:
     nus = _frozen_table(a, b, digits)
     if None in nus[-2:]:
         raise _exhausted(digits)
-    if b == 1:
-        return nus[0]
-    return nus[b - 1] - nus[b - 2]
-
-
-def _stable_speed(nus: list, floor_b: int) -> int | None:
-    """First speed value repeated at three consecutive heights ending at or
-    after floor_b, or None if the table is too short."""
-    speeds = [nus[0]]
-    for i in range(1, len(nus)):
-        speeds.append(nus[i] - nus[i - 1])
-    # speeds[i] = V(a, i + 1)
-    for b in range(max(floor_b, 4), len(speeds) + 1):
-        v = speeds[b - 1]
-        if speeds[b - 2] == v and speeds[b - 3] == v:
-            return v
-    return None
+    return nus[-1] - (nus[-2] if b > 1 else 0)
 
 
 def stabilization_floor(a: int) -> int:
-    """The lowest height at which a settled speed is accepted: len(a) + 3,
-    with the length capped at _FLOOR_LENGTH_CAP."""
+    """speed_profile's default depth: len(a) + 3, the length capped at 61."""
     _require_valid_base(a)
     return min(arith.digit_length(a), _FLOOR_LENGTH_CAP) + 3
 
 
-def _settle(a: int, digits: int, b_max: int = 0, strict: bool = False) -> tuple[int, list]:
-    """(V(a), nus) for a > 1, nus exact over at least max(floor, b_max) heights.
+def _line_nu(a: int, lines: list, b: int) -> int:
+    """nu(b) on the lines t2, t5: their reads to height 4 (a divisible side
+    lies above the other there if unresolved), then each affine slope."""
+    if b <= 4:
+        return min(t[b - 1] for t in lines if t[b - 1] is not None)
+    return min(t[3] + (b - 4) * (t[3] - t[2]) for p, t in zip((2, 5), lines) if a % p)
 
-    The first table stops at the floor height (or b_max); heights grow by 3
-    until three consecutive speeds at or after the floor agree, up to the
-    last height max(floor + 2, b_max) + 3k within floor + 61 (or b_max).  A
-    None at height h + 1 leaves nu(1..h) exact: the retry carries
-    s = nu(h) - nu(h-1) from nu(h+1) >= digits to the top height and at
-    least doubles the digits.  With `strict`, a None among the first b_max
-    heights raises PrecisionError instead.
+
+def _retry(t: list, digits: int, a: int) -> tuple[list | None, int]:
+    """(line, digits for t(4)) of an affine side t(1..4) that reads `digits` or
+    more: the line through its last two resolved heights if they rise; else
+    t(4) <= 4 t(1) (lemma) or, if t(1) = 0, the 5 len(a) q_n would need."""
+    k = t.index(None)
+    if k < 2 or t[k - 1] <= t[k - 2]:
+        return None, 4 * t[0] + 1 if t[0] else max(2 * digits, 5 * arith.digit_length(a) + 1)
+    line = t[:k] + [t[k - 1] + (b - k + 1) * (t[k - 1] - t[k - 2]) for b in range(k, 4)]
+    return line, line[3] + 1
+
+
+def _certify(a: int, digits: int, b_max: int = 4) -> tuple[int, list, list, int]:
+    """(V, lined, nus, digits) for a > 1: V(a) and nu(1..b_max) on the lines
+    certified from heights 1-4, and nu(1..b_max) off the last table.
+
+    An affine side must read one positive slope over heights 2-4, and the
+    5-side needs t2(2) >= 2 so that ord_5(a) divides every later exponent
+    gap.  A divisible side must grow at least a-fold per height, as ^(b-1)a
+    does, and lie above the other side at height 4, so it stays above.  An
+    open affine side retries, to b_max, at the digits _retry names or the
+    lines predict for nu(b_max); reads at heights 1-4 are below
+    5 bit_length(a) (lemma), so past that it cannot be certified.
     """
-    floor_b = stabilization_floor(a)
-    b_hi = max(floor_b, b_max)
-    b_last = max(floor_b + 2, b_max)
-    b_last += max(0, floor_b + 61 - b_last) // 3 * 3
+    limit, heights = 5 * a.bit_length() + 1, 4
     while True:
-        nus = _frozen_table(a, b_hi, digits)
-        if None in nus:
-            if strict and None in nus[:b_max]:
-                raise _exhausted(digits)
-            h = nus.index(None)
-            if h < 2:
-                digits *= 2
-            else:
-                s = nus[h - 1] - nus[h - 2]
-                digits = max(2 * digits, max(nus[h - 1] + s, digits) + s * (b_hi - h - 1) + 1)
-            continue
-        v = _stable_speed(nus, floor_b)
-        if v is not None:
-            return v, nus
-        if b_hi >= b_last:
-            raise PrecisionError(f"speed of {a} did not stabilize by height {b_hi}")
-        b_hi = min(b_hi + 3, b_last)
+        reads = _side_reads(a, heights, digits)
+        lines = [t[:4] for t in reads]
+        retries = {p: _retry(t, digits, a) for p, t in zip((2, 5), lines) if a % p and None in t}
+        if not retries:
+            break
+        if digits >= limit:
+            raise PrecisionError(f"cannot certify the speed of {a}: heights 1-4 unresolved at {digits} digits")
+        need = max(n for _, n in retries.values())
+        need = min(limit, need if need > digits else 2 * digits)
+        lines = [retries[p][0] if p in retries else t for p, t in zip((2, 5), lines)]
+        top = _line_nu(a, lines, b_max) + 1 if None not in lines else 0
+        digits, heights = max(top, need), max(b_max, 4) if top else 4
+    ok = a % 5 == 0 or lines[0][1] is None or lines[0][1] >= 2
+    for p, t, other in zip((2, 5), lines, lines[::-1]):
+        low = [digits if x is None else x for x in t]
+        if a % p:
+            ok = ok and t[2] > t[1] and t[3] - t[2] == t[2] - t[1]
+        else:
+            ok = ok and low[0] >= 1 and low[3] > other[3]
+            ok = ok and all(low[b] >= min(digits, a * low[b - 1]) for b in (1, 2, 3))
+    if not ok:
+        raise CertificateMismatch(f"t2 {lines[0]} and t5 {lines[1]} of {a} at {digits} digits fail the certificate")
+    v = min(t[3] - t[2] for p, t in zip((2, 5), lines) if a % p)
+    return v, [_line_nu(a, lines, b) for b in range(1, b_max + 1)], _nus(reads)[:b_max], digits
 
 
 def constant_speed(a: int, start_digits: int | None = None) -> int:
-    """The constant congruence speed V(a).
-
-    V(1) = 0.  Otherwise three consecutive heights must agree at height
-    >= len(a) + 3, which rides out the bases whose speed runs one high
-    through height len(a) + 2; for bases longer than 61 digits the floor is
-    capped at height 64 (see _FLOOR_LENGTH_CAP).  Precision starts at
-    start_digits (64 by default) and grows as _settle describes.
-    """
+    """V(a): 0 for a = 1, else the smaller slope of the lines _certify reads
+    off towers up to height 5, from start_digits (64 by default) on."""
     _require_valid_base(a)
     if a == 1:
         return 0
-    return _settle(a, start_digits or _START_DIGITS)[0]
+    return _certify(a, start_digits or _START_DIGITS)[0]
 
 
 def speed_profile(a: int, b_max: int | None = None, digits: int | None = None) -> SpeedProfile:
     """Per-height table of frozen digits and speeds up to b_max.
 
-    b_max defaults to the heights V(a) is settled over, stabilization_floor(a).
-    With explicit digits the profile raises PrecisionError when that
-    precision leaves a height up to b_max unresolved; the reported precision
-    is the smallest doubling of the start (explicit, or 64) that resolves
-    every height.
+    b_max defaults to stabilization_floor(a).  nu(1..b_max) is read off the
+    last table _certify built, or one more at the digits the lines predict
+    for height b_max, and must equal the lines (else CertificateMismatch).
+    With explicit digits, PrecisionError when the lines put a height at
+    `digits` or more; the reported precision is the smallest doubling of the
+    start (explicit, or 64) that resolves them all.
     """
     _require_valid_base(a)
     if b_max is None:
@@ -213,11 +211,16 @@ def speed_profile(a: int, b_max: int | None = None, digits: int | None = None) -
     if a == 1:
         entries = tuple(ProfileEntry(b, None, 0) for b in range(1, b_max + 1))
         return SpeedProfile(base, n, entries, 0)
-    const, nus = _settle(a, n, b_max, strict=digits is not None)
-    nus = nus[:b_max]
-    while max(nus) >= n:
+    v, lined, nus, read_digits = _certify(a, n, b_max)
+    top = max(lined)
+    if digits is not None and top >= digits:
+        raise _exhausted(digits)
+    if len(nus) < b_max or top >= read_digits:
+        nus = _frozen_table(a, b_max, top + 1)
+    if nus != lined:
+        raise CertificateMismatch(f"frozen digits {nus} of {a} leave the certified lines {lined}")
+    while top >= n:
         n *= 2
-    entries = [ProfileEntry(1, nus[0], nus[0])]
-    for b in range(2, b_max + 1):
-        entries.append(ProfileEntry(b, nus[b - 1], nus[b - 1] - nus[b - 2]))
-    return SpeedProfile(base, n, tuple(entries), const)
+    speeds = [y - x for x, y in zip([0] + nus, nus)]
+    entries = tuple(ProfileEntry(b, nu, s) for b, nu, s in zip(range(1, b_max + 1), nus, speeds))
+    return SpeedProfile(base, n, entries, v)

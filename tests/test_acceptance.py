@@ -2,8 +2,8 @@
 
 Each test prints a single PASS/FAIL line (run with -s to see them all; on
 failure the line also appears in the captured output).  The full sweep in
-criterion 6 is the long pole at about a minute (59 s on a 2-core Xeon with
-CPython 3.11); everything else is seconds.
+criterion 6 is the long pole at about half a minute (27 s on a 2-core Xeon
+with CPython 3.11); everything else is seconds.
 """
 
 import itertools

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from congspeed import arith, classes, cli, decadic, speed, verify
+from congspeed import arith, classes, cli, decadic, primes, speed, verify
 
 
 def run(capsys, *argv):
@@ -331,11 +331,32 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error:")
 
     def test_unsettled_speed_is_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(speed, "_frozen_table", lambda a, b_max, digits: [0] * b_max)
-        monkeypatch.setattr(speed, "_stable_speed", lambda nus, floor_b: None)
+        # Towers that agree in every digit leave the certificate unreadable.
+        monkeypatch.setattr(arith, "tower_residues", lambda a, b_max, digits: [0] * b_max)
         assert cli.main(["speed", "7"]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "did not stabilize" in err[0]
+        assert len(err) == 1 and err[0].startswith("error: cannot certify the speed of 7")
+
+    def test_profile_off_the_certified_lines_is_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(speed, "_frozen_table", lambda a, b_max, digits: [0] * b_max)
+        assert cli.main(["speed", "807"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: frozen digits")
+
+    @pytest.mark.parametrize(
+        "a,t2,t5",
+        [
+            ("807", [4, 7, 10, 14], [0, 4, 8, 12]),  # t2 bends at height 3
+            ("807", [0, 1, 2, 3], [0, 4, 8, 12]),  # t2(2) < 2 leaves t5 unproven
+            ("2", [1, 2, 3, 16], [0, 0, 1, 2]),  # the 2-side of 2 grows less than 2-fold
+            ("2", [1, 2, 4, 8], [0, 0, 9, 18]),  # it grows, but below the 5-side
+        ],
+    )
+    def test_broken_certificate_is_3(self, capsys, monkeypatch, a, t2, t5):
+        monkeypatch.setattr(speed, "_side_reads", lambda a, b_max, digits: (t2, t5))
+        assert cli.main(["speed", a]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "fail the certificate" in err[0]
 
 
 class TestClassEdges:
@@ -414,6 +435,20 @@ class TestWorkCounts:
         monkeypatch.setattr(verify, "_phase_shift_profile", uncached)
         assert verify.phase_shift_fixture().constant_speed == 4
         assert len(calls) <= 2
+        assert max(b_max for _, b_max, _ in calls) <= 7
+
+    @pytest.mark.parametrize("a,v", [(2, 1), (5, 2), (807, 3)])
+    def test_short_bases_certify_from_one_table(self, monkeypatch, a, v):
+        calls = _counting(monkeypatch, arith, "tower_residues")
+        assert speed.constant_speed(a) == v
+        assert len(calls) == 1
+
+    def test_q150_oracle_check_builds_two_short_tables(self, monkeypatch):
+        q150 = primes.smallest_prime_with_speed(150).q
+        calls = _counting(monkeypatch, arith, "tower_residues")
+        assert speed.constant_speed(q150) == 150
+        assert len(calls) <= 2
+        assert max(b_max for _, b_max, _ in calls) <= 5
 
     def test_q20_oracle_check_builds_at_most_two_tables(self, monkeypatch):
         calls = _counting(monkeypatch, arith, "tower_residues")

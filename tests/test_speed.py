@@ -4,12 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_profile
 import reference_settle
 from congspeed import arith
 from congspeed.classes import class_spec
 from congspeed.speed import (
+    _certify,
     _frozen_table,
-    _settle,
     constant_speed,
     PrecisionError,
     speed_at_height,
@@ -190,19 +191,18 @@ class TestResolvedIsExact:
 
 
 def assert_settles_like_reference(a, start=64, reference_start=None):
-    """The settle loop gives the reference loop's V and the same nu at every
-    height both built; built to the reference's height, the table is equal."""
+    """constant_speed gives the reference loop's V, and speed_profile built to
+    the reference's height reads the reference's nu at every height."""
     ref_v, ref_nus = reference_settle.settle(a, reference_start)
-    v, nus = _settle(a, start)
-    n = min(len(nus), len(ref_nus))
-    assert (v, nus[:n]) == (ref_v, ref_nus[:n]), a
-    assert len(nus) >= stabilization_floor(a), a
-    assert _settle(a, start, len(ref_nus)) == (ref_v, ref_nus), a
+    assert constant_speed(a, start) == ref_v, a
+    profile = speed_profile(a, len(ref_nus))
+    assert (profile.constant_speed, profile.frozen_counts) == (ref_v, ref_nus), a
 
 
 class TestSettleMatchesReference:
-    """`_settle` against tests/reference_settle.py: tables to floor + 2
-    heights, a length-based start and blind doubling."""
+    """`constant_speed` and `speed_profile` against tests/reference_settle.py:
+    tables to floor + 2 heights, a length-based start, blind doubling and
+    three equal speeds at or after the floor."""
 
     def test_every_base_to_3000_at_40_digits(self):
         for a in range(2, 3001):
@@ -222,18 +222,79 @@ class TestSettleMatchesReference:
     def test_first_two_class_members(self, s1):
         # The reference starts at (v + 1) * (len + 6) digits, enough for its
         # first table: every nu it reads is exact at any precision, so the
-        # start changes only its cost.  The full-table comparison of the
-        # other sets would add half the cost of this one.
+        # start changes only its cost.  The profile stops at the floor, where
+        # the table of the loop before the certificate stopped.
         for v in range(8, 22):
             for a in itertools.islice(class_spec(s1, v).members(), 2):
                 length = arith.digit_length(a)
                 ref_v, ref_nus = reference_settle.settle(a, (v + 1) * (length + 6))
-                got_v, nus = _settle(a, 64)
-                n = min(len(nus), len(ref_nus))
-                assert (got_v, nus[:n]) == (ref_v, ref_nus[:n]) and ref_v == v, a
+                profile = speed_profile(a)  # to the floor, two heights below the reference
+                assert ref_v == v and constant_speed(a) == v == profile.constant_speed, a
+                assert profile.frozen_counts == ref_nus[: stabilization_floor(a)], a
 
     def test_anomalous_family_members(self):
         # a = 2^c - 1 mod 2^(c+1), a^2 = -1 mod 5^(c+1): speed c + 1 through
         # height c + 2, c after
         for a in (807, 407922943, 31666295807, 81666295807):
             assert_settles_like_reference(a)
+
+
+def family_member(c):
+    """The member of a = 2^c - 1 mod 2^(c+1), a^2 = -1 mod 5^(c+1) but not
+    mod 5^(c+2), below 2^(c+1) * 5^(c+2): V(a) = c."""
+    m2, m5 = 2 ** (c + 1), 5 ** (c + 2)
+    x = pow(2, 5 ** (c + 1), m5) + m5 // 5  # a square root of -1 mod 5^(c+1) only
+    return x + m5 * ((2**c - 1 - x) * pow(m5, -1, m2) % m2)
+
+
+class TestReferenceProfile:
+    """`_frozen_table` against tests/reference_profile.py, the lemma's
+    recursion for t_2 and t_5 with no towers."""
+
+    def test_every_base_to_3000_at_six_heights(self):
+        for a in range(2, 3001):
+            if a % 10:
+                ref = reference_profile.frozen_counts(a, 6)
+                assert _frozen_table(a, 6, ref[-1] + 1) == ref, a
+
+    def test_seeded_long_bases(self):
+        rng = random.Random(62100)
+        for _ in range(20):
+            length = rng.randint(62, 100)
+            a = rng.randrange(10 ** (length - 1), 10**length)
+            if a % 10 == 0:
+                a += 1
+            ref = reference_profile.frozen_counts(a, 6)
+            assert _frozen_table(a, 6, ref[-1] + 1) == ref, a
+            assert speed_profile(a, 6).frozen_counts == ref, a
+            t2, t5 = reference_profile.frozen_lines(a, 6)
+            slopes = [t[5] - t[4] for p, t in ((2, t2), (5, t5)) if a % p]
+            assert constant_speed(a) == min(slopes), a
+
+    def test_phase_shift_profile(self):
+        nus = reference_profile.frozen_counts(143**625, 6)
+        speeds = [nus[0]] + [y - x for x, y in zip(nus, nus[1:])]
+        assert speeds == [0, 6, 6, 5, 4, 4]
+
+    @pytest.mark.parametrize("c", [3, 8, 10, 11, 62, 101])
+    def test_family_members_settle_to_c(self, c):
+        a = family_member(c)
+        nus = reference_profile.frozen_counts(a, c + 4)
+        assert [nus[b] - nus[b - 1] for b in range(1, c + 4)] == [c + 1] * (c + 1) + [c] * 2
+        assert constant_speed(a) == c
+        assert speed_profile(a, 6).frozen_counts == nus[:6]
+
+    def test_known_family_members(self):
+        assert [family_member(c) for c in (3, 10)] == [30807, 31666295807]
+        for a, c in ((807, 3), (407922943, 8), (31666295807, 10), (81666295807, 11)):
+            assert constant_speed(a) == c
+            assert reference_profile.frozen_counts(a, 6) == _frozen_table(a, 6, 6 * (c + 1))
+
+    def test_certified_lines_on_every_base_to_3000(self):
+        # V and nu(1..8) on the lines read at heights 1-4, against the lemma
+        for a in range(2, 3001):
+            if a % 10:
+                v, lined, _, _ = _certify(a, 40, 8)
+                ref = reference_profile.frozen_lines(a, 8)
+                assert lined == [min(pair) for pair in zip(*ref)], a
+                assert v == min(r[7] - r[6] for p, r in zip((2, 5), ref) if a % p), a
