@@ -22,7 +22,11 @@ from typing import NamedTuple
 from . import classes, decadic, primes, verify
 from .primes import PrimeSpeedRecord
 from .speed import (
-    CertificateMismatch, PrecisionError, UndefinedSpeedError, speed_at_height, speed_profile,
+    CertificateMismatch,
+    PrecisionError,
+    UndefinedSpeedError,
+    speed_at_height,
+    speed_profile,
 )
 
 ENV_DIGITS = "TCS_DIGITS"
@@ -325,7 +329,9 @@ def main(argv=None) -> int:
     except (UndefinedSpeedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (verify.FixtureMismatch, classes.FormulaMismatch, CertificateMismatch, CacheError) as exc:
+    except (
+        verify.FixtureMismatch, classes.FormulaMismatch, CertificateMismatch, CacheError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     _write(out, args.output)

@@ -86,11 +86,15 @@ def _require_valid_base(a: int) -> None:
 def _side_reads(a: int, b_max: int, digits: int) -> tuple[list, list]:
     """t2(1..b_max), t5(1..b_max) off towers mod 10^digits; None for >= digits."""
     towers = arith.tower_residues(a, b_max + 1, digits)
-    reads: tuple[list, list] = ([], [])
-    for b in range(1, b_max + 1):
-        diff = (towers[b] - towers[b - 1]) % 10**digits
-        for p, t in zip((2, 5), reads):
-            nu = arith.valuation(p, diff) if diff else digits
+    mod, reads = 10**digits, ([], [])
+    for x, y in zip(towers, towers[1:]):
+        diff = (y - x) % mod
+        t2 = (diff & -diff).bit_length() - 1 if diff else digits
+        t5 = 0
+        while t5 < digits and diff % 5 == 0:
+            diff //= 5
+            t5 += 1
+        for t, nu in zip(reads, (t2, t5)):
             t.append(nu if nu < digits else None)
     return reads
 
@@ -131,43 +135,45 @@ def _line_nu(a: int, lines: list, b: int) -> int:
     return min(t[3] + (b - 4) * (t[3] - t[2]) for p, t in zip((2, 5), lines) if a % p)
 
 
-def _retry(t: list, digits: int, a: int) -> tuple[list | None, int]:
-    """(line, digits for t(4)) of an affine side t(1..4) that reads `digits` or
-    more: the line through its last two resolved heights if they rise; else
-    t(4) <= 4 t(1) (lemma) or, if t(1) = 0, the 5 len(a) q_n would need."""
+def _slope_line(t: list, digits: int) -> list | None:
+    """t(1..4) of an affine side that reads `digits` or more from height k + 1
+    on: the line through heights k - 1 and k if they rise (a rise is the
+    lemma's one slope) and it reaches `digits` at k + 1, else None."""
     k = t.index(None)
-    if k < 2 or t[k - 1] <= t[k - 2]:
-        return None, 4 * t[0] + 1 if t[0] else max(2 * digits, 5 * arith.digit_length(a) + 1)
+    if k < 2 or t[k - 2] >= t[k - 1]:
+        return None
     line = t[:k] + [t[k - 1] + (b - k + 1) * (t[k - 1] - t[k - 2]) for b in range(k, 4)]
-    return line, line[3] + 1
+    return line if line[k] >= digits else None
 
 
-def _certify(a: int, digits: int, b_max: int = 4) -> tuple[int, list, list, int]:
-    """(V, lined, nus, digits) for a > 1: V(a) and nu(1..b_max) on the lines
-    certified from heights 1-4, and nu(1..b_max) off the last table.
+def _certify(a: int, digits: int, b_max: int = 4) -> tuple[int, list, list]:
+    """(V, lines, nus) for a > 1: V(a), the lines t2, t5 at heights 1-4 that
+    certify it, and nu(1..) off the last table read.
 
     An affine side must read one positive slope over heights 2-4, and the
     5-side needs t2(2) >= 2 so that ord_5(a) divides every later exponent
     gap.  A divisible side must grow at least a-fold per height, as ^(b-1)a
-    does, and lie above the other side at height 4, so it stays above.  An
-    open affine side retries, to b_max, at the digits _retry names or the
-    lines predict for nu(b_max); reads at heights 1-4 are below
-    5 bit_length(a) (lemma), so past that it cannot be certified.
+    does, and lie above the other side at height 4, so it stays above.
+    Reads at heights 1-4 stay below 5 bit_length(a) digits (lemma), so an
+    open affine side retries once: at the digits its slope line puts on
+    t(4), b_max heights tall and wide enough for nu(b_max) on the lines, or
+    with no line at that bound; past it the side cannot be certified.
     """
     limit, heights = 5 * a.bit_length() + 1, 4
-    while True:
+    for retry in (False, True):
         reads = _side_reads(a, heights, digits)
         lines = [t[:4] for t in reads]
-        retries = {p: _retry(t, digits, a) for p, t in zip((2, 5), lines) if a % p and None in t}
-        if not retries:
+        unread = [p for p, t in zip((2, 5), lines) if a % p and None in t]
+        if not unread:
             break
-        if digits >= limit:
-            raise PrecisionError(f"cannot certify the speed of {a}: heights 1-4 unresolved at {digits} digits")
-        need = max(n for _, n in retries.values())
-        need = min(limit, need if need > digits else 2 * digits)
-        lines = [retries[p][0] if p in retries else t for p, t in zip((2, 5), lines)]
-        top = _line_nu(a, lines, b_max) + 1 if None not in lines else 0
-        digits, heights = max(top, need), max(b_max, 4) if top else 4
+        if retry or digits >= limit:
+            raise PrecisionError(f"cannot certify the speed of {a} from {digits} digits")
+        sized = [_slope_line(t, digits) if p in unread else t for p, t in zip((2, 5), lines)]
+        if None in sized:
+            digits = limit
+        else:
+            need = min(limit, max(t[3] for p, t in zip((2, 5), sized) if a % p) + 1)
+            digits, heights = max(need, _line_nu(a, sized, b_max) + 1), max(b_max, 4)
     ok = a % 5 == 0 or lines[0][1] is None or lines[0][1] >= 2
     for p, t, other in zip((2, 5), lines, lines[::-1]):
         low = [digits if x is None else x for x in t]
@@ -177,9 +183,8 @@ def _certify(a: int, digits: int, b_max: int = 4) -> tuple[int, list, list, int]
             ok = ok and low[0] >= 1 and low[3] > other[3]
             ok = ok and all(low[b] >= min(digits, a * low[b - 1]) for b in (1, 2, 3))
     if not ok:
-        raise CertificateMismatch(f"t2 {lines[0]} and t5 {lines[1]} of {a} at {digits} digits fail the certificate")
-    v = min(t[3] - t[2] for p, t in zip((2, 5), lines) if a % p)
-    return v, [_line_nu(a, lines, b) for b in range(1, b_max + 1)], _nus(reads)[:b_max], digits
+        raise CertificateMismatch(f"t2 {lines[0]} and t5 {lines[1]} of {a} fail the certificate")
+    return min(t[3] - t[2] for p, t in zip((2, 5), lines) if a % p), lines, _nus(reads)
 
 
 def constant_speed(a: int, start_digits: int | None = None) -> int:
@@ -197,9 +202,10 @@ def speed_profile(a: int, b_max: int | None = None, digits: int | None = None) -
     b_max defaults to stabilization_floor(a).  nu(1..b_max) is read off the
     last table _certify built, or one more at the digits the lines predict
     for height b_max, and must equal the lines (else CertificateMismatch).
-    With explicit digits, PrecisionError when the lines put a height at
-    `digits` or more; the reported precision is the smallest doubling of the
-    start (explicit, or 64) that resolves them all.
+    With explicit digits the certificate stays 4 heights tall, and the
+    profile raises PrecisionError, before any taller table, when the lines
+    put a height at `digits` or more; the reported precision is the smallest
+    doubling of the start (explicit, or 64) that resolves them all.
     """
     _require_valid_base(a)
     if b_max is None:
@@ -211,11 +217,13 @@ def speed_profile(a: int, b_max: int | None = None, digits: int | None = None) -
     if a == 1:
         entries = tuple(ProfileEntry(b, None, 0) for b in range(1, b_max + 1))
         return SpeedProfile(base, n, entries, 0)
-    v, lined, nus, read_digits = _certify(a, n, b_max)
+    v, lines, nus = _certify(a, n, b_max if digits is None else 4)
+    lined = [_line_nu(a, lines, b) for b in range(1, b_max + 1)]
     top = max(lined)
     if digits is not None and top >= digits:
         raise _exhausted(digits)
-    if len(nus) < b_max or top >= read_digits:
+    nus = nus[:b_max]
+    if len(nus) < b_max or None in nus:
         nus = _frozen_table(a, b_max, top + 1)
     if nus != lined:
         raise CertificateMismatch(f"frozen digits {nus} of {a} leave the certified lines {lined}")

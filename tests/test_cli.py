@@ -6,6 +6,7 @@ import json
 import pytest
 
 from congspeed import arith, classes, cli, decadic, primes, speed, verify
+from test_speed import family_member
 
 
 def run(capsys, *argv):
@@ -448,6 +449,15 @@ class TestWorkCounts:
         calls = _counting(monkeypatch, arith, "tower_residues")
         assert speed.constant_speed(q150) == 150
         assert len(calls) <= 2
+        assert max(b_max for _, b_max, _ in calls) <= 5
+
+    def test_explicit_digits_profile_fails_from_short_tables(self, capsys, monkeypatch):
+        # V = 25 puts nu(64) near 1,600 digits: exit 1 without building it
+        calls = _counting(monkeypatch, arith, "tower_residues")
+        a = str(family_member(25))
+        assert cli.main(["profile", a, "--max-height", "64", "--digits", "64"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: increase digits")
         assert max(b_max for _, b_max, _ in calls) <= 5
 
     def test_q20_oracle_check_builds_at_most_two_tables(self, monkeypatch):

@@ -11,6 +11,7 @@ from congspeed.classes import class_spec
 from congspeed.speed import (
     _certify,
     _frozen_table,
+    _line_nu,
     constant_speed,
     PrecisionError,
     speed_at_height,
@@ -294,7 +295,8 @@ class TestReferenceProfile:
         # V and nu(1..8) on the lines read at heights 1-4, against the lemma
         for a in range(2, 3001):
             if a % 10:
-                v, lined, _, _ = _certify(a, 40, 8)
+                v, lines, _ = _certify(a, 40)
+                lined = [_line_nu(a, lines, b) for b in range(1, 9)]
                 ref = reference_profile.frozen_lines(a, 8)
                 assert lined == [min(pair) for pair in zip(*ref)], a
                 assert v == min(r[7] - r[6] for p, r in zip((2, 5), ref) if a % p), a
