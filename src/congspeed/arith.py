@@ -8,18 +8,16 @@ lambda(lambda(m)), ... and clamping exponents with the identity
     a^e = a^((e mod L) + L)   (mod m),   L a multiple of lambda(m),
 
 which holds for every a (coprime or not) as soon as the true exponent e and
-L are at least the largest prime-power exponent of m.  The two residues are
-recombined into the residue modulo 10^n by the Chinese remainder theorem.
+L are at least the largest prime-power exponent of m.  No link of a chain
+from 2^n or 5^n has a prime-power exponent above max(n, 2), so a tower
+exponent is carried exactly while it is at most n and clamped once it
+exceeds n.  The two residues are recombined into the residue modulo 10^n
+by the Chinese remainder theorem.
 """
 
 from __future__ import annotations
 
 import functools
-
-# Exponents at or below this are always carried exactly; tower evaluation
-# raises the effective threshold to the digit count so the clamp identity
-# stays valid for very wide moduli.
-CLAMP_THRESHOLD = 64
 
 
 def valuation(p: int, x: int) -> int:
@@ -28,6 +26,8 @@ def valuation(p: int, x: int) -> int:
         raise ValueError(f"valuation only supported for p in {{2, 5}}, got {p}")
     if x <= 0:
         raise ValueError("valuation undefined for zero")
+    if p == 2:
+        return (x & -x).bit_length() - 1
     e = 0
     while x % p == 0:
         x //= p
@@ -111,27 +111,15 @@ def _side_chains(digits: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
 
 
 def _exact_towers_capped(a: int, levels: int, cap: int) -> list:
-    """vals[k] = ^k a when it is known exactly and usable, else None.
-
-    vals[1] is always the exact base a.  For k >= 2, vals[k] is the exact
-    tower value when it does not exceed cap; towers above cap are None.
-    """
+    """vals[k] = ^k a while it is at most cap (vals[1] = a always), else None."""
     vals: list = [None] * (levels + 1)
-    if levels < 1:
-        return vals
-    vals[1] = a
-    for k in range(2, levels + 1):
-        p = vals[k - 1]
-        if p is None or p > cap:
-            break
-        v = 1
-        for _ in range(p):
-            v *= a
-            if v > cap:
-                v = None
-                break
+    v = a
+    for k in range(1, levels + 1):
         vals[k] = v
-        if v is None:
+        if a > 1 and v >= cap.bit_length():
+            break  # ^(k+1) a >= 2^v > cap
+        v = a**v
+        if v > cap:
             break
     return vals
 
@@ -142,7 +130,7 @@ def _side_residues(a: int, p: int, b_max: int, chain: tuple[int, ...], exact: li
     Iterative table over the chain: the height-b residue at chain depth d is
     derived from the height-(b-1) residue at depth d+1, so the whole column
     of heights costs O(b_max^2) modular powers at worst.  When p divides a,
-    every tower whose exponent is past the exact cap (>= n) is 0 mod p^n,
+    every tower whose exponent is past the exact cap n is 0 mod p^n,
     so only the exact heights take a power and no table is built.
     """
     if a % p == 0:
@@ -179,12 +167,13 @@ def tower_residues(a: int, b_max: int, digits: int) -> list[int]:
 
     The towers are evaluated modulo 2^digits and 5^digits, each along its
     own Carmichael chain, and recombined by the Chinese remainder theorem.
+    Exponents up to digits are exact and larger ones clamped: no chain link
+    has a prime-power exponent above max(digits, 2).
     """
     if a < 1 or b_max < 1 or digits < 1:
         raise ValueError("tower_residues requires a, b_max, digits >= 1")
     two, five, inv = _side_chains(digits)
-    cap = max(CLAMP_THRESHOLD, digits)
-    exact = _exact_towers_capped(a, max(b_max - 1, 1), cap)
+    exact = _exact_towers_capped(a, max(b_max - 1, 1), digits)
     m2, m5 = two[0], five[0]
     r2 = _side_residues(a, 2, b_max, two, exact)
     r5 = _side_residues(a, 5, b_max, five, exact)

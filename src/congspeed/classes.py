@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 
 from . import decadic
 from .arith import valuation
-from .speed import UndefinedSpeedError
+from .speed import UndefinedSpeedError, _require_valid_base
 
 # Residues modulo 25 of the bases with constant congruence speed exactly 1.
 V1_RESIDUES = frozenset(
@@ -195,14 +195,7 @@ def class5_closed_form(n: int, count: int) -> list[int]:
     if n < 2 or count < 1:
         raise ValueError("need n >= 2 and count >= 1")
     step = 10 * 2**n
-    b1, b2 = class5_bases_signed(n)
-    gen1 = (b1 + k * step for k in range(count))
-    gen2 = (b2 + k * step for k in range(count))
-    out = []
-    for v in heapq.merge(gen1, gen2):
-        out.append(v)
-        if len(out) == count:
-            break
+    out = sorted(b + k * step for b in class5_bases_signed(n) for k in range(count))[:count]
     spec = class_spec(5, n)
     for got, want in zip(out, spec.members()):
         if got != want:  # pragma: no cover - structural guarantee
@@ -255,8 +248,7 @@ def speed_by_formula(a: int) -> int:
 
     Raises FormulaMismatch when a is not in the class the formula names.
     """
-    if a < 1 or a % 10 == 0:
-        raise UndefinedSpeedError(f"undefined congruence speed for a = {a}")
+    _require_valid_base(a)
     if a == 1:
         return 0
     v = _formula_value(a)
@@ -269,8 +261,7 @@ def speed_by_formula(a: int) -> int:
 
 def speed_by_membership(a: int):
     """The unique n whose class contains a, or None if not exactly one."""
-    if a < 1 or a % 10 == 0:
-        raise UndefinedSpeedError(f"undefined congruence speed for a = {a}")
+    _require_valid_base(a)
     if a == 1:
         return 0
     matches = [n for n in range(1, valuation_bound(a) + 2) if class_spec(a % 10, n).contains(a)]

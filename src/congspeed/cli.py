@@ -71,6 +71,14 @@ def _at_least(low: int):
     return parse
 
 
+def _speeds(text: str) -> tuple:
+    """argparse type for a comma list of speeds, each at least 1 ('' for none)."""
+    return tuple(map(_at_least(1), text.split(","))) if text else ()
+
+
+_speeds.__name__ = "speed list"  # argparse names the type when int() rejects an item
+
+
 def _record_dict(rec: PrimeSpeedRecord) -> dict:
     return {
         "n": rec.n,
@@ -202,9 +210,8 @@ def _cmd_table1(args) -> Output:
 
 
 def _cmd_table2(args) -> Output:
-    extra = tuple(int(x) for x in args.extra.split(",")) if args.extra else ()
     resolve = _resolver(args.cache, args.budget)
-    records = primes.smallest_prime_table(args.max, extra, resolve)
+    records = primes.smallest_prime_table(args.max, args.extra, resolve)
     flags = primes.non_monotonic_flags(records, resolver=lambda n: resolve(n).q)
     return Output(
         {"rows": [dict(_record_dict(r), non_monotonic=r.n in flags) for r in records]},
@@ -300,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table2", help="smallest primes per speed")
     p.add_argument("--max", type=int, default=21)
-    p.add_argument("--extra", type=str, default=None)
+    p.add_argument("--extra", type=_speeds, default=())
     p.add_argument("--cache", type=str, default=None)
     p.add_argument("--budget", type=_at_least(1), default=None)
     p.set_defaults(func=_cmd_table2)

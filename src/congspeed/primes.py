@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import classes, speed
+from . import arith, classes, speed
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_LIMIT = 1 << 64
@@ -78,11 +78,10 @@ def _jacobi(a: int, n: int) -> int:
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
+        s = arith.valuation(2, a)
+        if s % 2 and n % 8 in (3, 5):
+            result = -result
+        a, n = n, a >> s
         if a % 4 == 3 and n % 4 == 3:
             result = -result
         a %= n
@@ -106,9 +105,8 @@ def _strong_lucas_prp(n: int) -> bool:
     def _half(x: int) -> int:
         return (x + n) // 2 % n if x & 1 else x // 2 % n
 
-    k = n + 1
-    s = (k & -k).bit_length() - 1
-    t = k >> s
+    s = arith.valuation(2, n + 1)
+    t = (n + 1) >> s
     u, v, qk = 1, p, q % n
     for bit in bin(t)[3:]:
         u, v = u * v % n, (v * v - 2 * qk) % n
@@ -135,10 +133,8 @@ def is_prime(x: int) -> bool:
             return True
         if x % p == 0:
             return False
-    d, s = x - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = arith.valuation(2, x - 1)
+    d = (x - 1) >> s
     if x < _DETERMINISTIC_LIMIT:
         return all(_miller_rabin_round(x, a, d, s) for a in _MR_WITNESSES)
     if not _miller_rabin_round(x, 2, d, s):

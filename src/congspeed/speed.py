@@ -89,12 +89,8 @@ def _side_reads(a: int, b_max: int, digits: int) -> tuple[list, list]:
     mod, reads = 10**digits, ([], [])
     for x, y in zip(towers, towers[1:]):
         diff = (y - x) % mod
-        t2 = (diff & -diff).bit_length() - 1 if diff else digits
-        t5 = 0
-        while t5 < digits and diff % 5 == 0:
-            diff //= 5
-            t5 += 1
-        for t, nu in zip(reads, (t2, t5)):
+        for t, p in zip(reads, (2, 5)):
+            nu = arith.valuation(p, diff) if diff else digits
             t.append(nu if nu < digits else None)
     return reads
 
@@ -146,9 +142,11 @@ def _slope_line(t: list, digits: int) -> list | None:
     return line if line[k] >= digits else None
 
 
-def _certify(a: int, digits: int, b_max: int = 4) -> tuple[int, list, list]:
+def _certify(a: int, digits: int, b_max: int = 4, fixed: bool = False) -> tuple[int, list, list]:
     """(V, lines, nus) for a > 1: V(a), the lines t2, t5 at heights 1-4 that
-    certify it, and nu(1..) off the last table read.
+    certify it, and nu(1..) off the last table read.  With fixed digits
+    (b_max <= 4), a nu at heights 1..b_max that the first table leaves
+    unresolved is `digits` or more and raises PrecisionError at once.
 
     An affine side must read one positive slope over heights 2-4, and the
     5-side needs t2(2) >= 2 so that ord_5(a) divides every later exponent
@@ -162,6 +160,8 @@ def _certify(a: int, digits: int, b_max: int = 4) -> tuple[int, list, list]:
     limit, heights = 5 * a.bit_length() + 1, 4
     for retry in (False, True):
         reads = _side_reads(a, heights, digits)
+        if fixed and None in _nus(reads)[:b_max]:
+            raise _exhausted(digits)
         lines = [t[:4] for t in reads]
         unread = [p for p, t in zip((2, 5), lines) if a % p and None in t]
         if not unread:
@@ -204,23 +204,24 @@ def speed_profile(a: int, b_max: int | None = None, digits: int | None = None) -
     for height b_max, and must equal the lines (else CertificateMismatch).
     With explicit digits the certificate stays 4 heights tall, and the
     profile raises PrecisionError, before any taller table, when the lines
-    put a height at `digits` or more; the reported precision is the smallest
-    doubling of the start (explicit, or 64) that resolves them all.
+    put a height at `digits` or more, and before any retry when the first
+    table leaves a height up to 4 unresolved; the reported precision is the
+    smallest doubling of the start (explicit, or 64) that resolves them all.
     """
-    _require_valid_base(a)
+    base = TetrationBase.from_int(a)
     if b_max is None:
         b_max = stabilization_floor(a)
     if b_max < 1:
         raise ValueError("b_max must be >= 1")
-    base = TetrationBase.from_int(a)
     n = digits or _START_DIGITS
     if a == 1:
         entries = tuple(ProfileEntry(b, None, 0) for b in range(1, b_max + 1))
         return SpeedProfile(base, n, entries, 0)
-    v, lines, nus = _certify(a, n, b_max if digits is None else 4)
+    fixed = digits is not None
+    v, lines, nus = _certify(a, n, min(b_max, 4) if fixed else b_max, fixed)
     lined = [_line_nu(a, lines, b) for b in range(1, b_max + 1)]
     top = max(lined)
-    if digits is not None and top >= digits:
+    if fixed and top >= digits:
         raise _exhausted(digits)
     nus = nus[:b_max]
     if len(nus) < b_max or None in nus:

@@ -8,7 +8,7 @@ residue-class membership.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import classes
 from .speed import constant_speed, speed_profile, SpeedProfile
@@ -38,12 +38,7 @@ class SweepReport:
         return not self.mismatches
 
     def to_dict(self) -> dict:
-        return {
-            "a_min": self.a_min,
-            "a_max": self.a_max,
-            "precision": self.precision,
-            "mismatches": [list(m) for m in self.mismatches],
-        }
+        return asdict(self)
 
 
 def sweep(a_min: int, a_max: int, precision: int = 40) -> SweepReport:

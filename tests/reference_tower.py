@@ -2,7 +2,10 @@
 
 The package computes towers with one iterative table over the Carmichael
 chain.  This module evaluates the same towers top-down, one modulus at a
-time, so the tests can compare the two.  `exact_tetration` gives exact
+time, so the tests can compare the two.  It carries a tower exponent
+exactly up to its own threshold, CLAMP_THRESHOLD (or a larger prime-power
+exponent of the modulus), where the package stops at the digit count, so
+the two evaluations clamp different towers.  `exact_tetration` gives exact
 values for the few towers small enough to write out.
 """
 
@@ -11,13 +14,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from congspeed.arith import (
-    _exact_towers_capped,
-    CLAMP_THRESHOLD,
-    carmichael,
-    digit_length,
-    valuation,
-)
+from congspeed.arith import carmichael, digit_length, valuation
+
+CLAMP_THRESHOLD = 64
 
 
 @dataclass(frozen=True)
@@ -39,6 +38,22 @@ def _lambda_int(m: int) -> int:
     return carmichael(m)
 
 
+def _exact_tower(a: int, b: int, cap: int):
+    """^b a for b >= 2 by repeated multiplication, or None once a tower on
+    the way, ^b a included, exceeds cap."""
+    v = a
+    for _ in range(b - 1):
+        if v > cap:
+            return None
+        w = 1
+        for _ in range(v):
+            w *= a
+            if w > cap:
+                return None
+        v = w
+    return v
+
+
 def tower_exponent(a: int, b: int, m: int) -> ClampedExponent:
     """The tower ^b a prepared as an exponent for reduction modulo m."""
     cap = max(CLAMP_THRESHOLD, valuation(2, m), valuation(5, m))
@@ -49,7 +64,7 @@ def _tower_exponent(a: int, b: int, m: int, cap: int) -> ClampedExponent:
     if b == 1:
         # The base itself is always available exactly.
         return ClampedExponent(a, False)
-    exact = _exact_towers_capped(a, b, cap)[b]
+    exact = _exact_tower(a, b, cap)
     if exact is not None:
         return ClampedExponent(exact, False)
     lam = _lambda_int(m)

@@ -211,12 +211,13 @@ def _is_power_of(p, m):
 class TestCrtSplit:
     """The table runs modulo 2^n and 5^n on separate chains, joined by CRT."""
 
-    BASES = (1, 2, 5, 7, 12, 25, 143, 250, 2**50, 5**30, 143**625)
+    BASES = (1, 2, 3, 4, 5, 7, 12, 25, 143, 250, 2**50, 5**30, 143**625)
 
-    @pytest.mark.parametrize("digits", [1, 2, 3, 4, 5, 6, 7, 25, 40, 41, 81])
+    @pytest.mark.parametrize("digits", [1, 2, 3, 4, 5, 6, 7, 25, 26, 27, 28, 40, 41, 81])
     def test_matches_recursive(self, digits):
         # Odd digit counts put 2^3 on the 2-side chain.  Its link matters
         # only to even bases, whose 2-side takes the p | a shortcut instead.
+        # The package clamps ^2 3 = 27 below 27 digits, the reference never.
         for a in self.BASES:
             got = tower_residues(a, 6, digits)
             assert got == [tower_residue(a, b, digits) for b in range(1, 7)], a
@@ -231,6 +232,15 @@ class TestCrtSplit:
             for prev, nxt in zip(chain, chain[1:]):
                 assert nxt % carmichael(prev) == 0
                 assert nxt >= max(valuation(2, prev), valuation(5, prev))
+
+    @given(st.integers(1, 30), st.integers(1, 7), st.integers(0, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_towers_capped(self, a, levels, cap):
+        want = [None, a]
+        for _ in range(2, levels + 1):
+            prev = want[-1]
+            want.append(None if prev is None or a**prev > cap else a**prev)
+        assert arith._exact_towers_capped(a, levels, cap) == want
 
     def test_two_side_skips_lambda_of_8(self):
         # lambda(8) = 2 < 3; the chain takes 4 instead

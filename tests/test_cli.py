@@ -175,6 +175,11 @@ class TestCounts:
         code, err = usage_error(capsys, *command, "--digits", value)
         assert code == 2 and len(err) == 1 and "--digits" in err[0]
 
+    @pytest.mark.parametrize("value", ["5,x", "0", "5,0", "3,,4"])
+    def test_table2_extra(self, capsys, value):
+        code, err = usage_error(capsys, "table2", "--max", "3", "--extra", value)
+        assert code == 2 and len(err) == 1 and "argument --extra:" in err[0]
+
     def test_non_integer_message_kept(self, capsys):
         code, err = usage_error(capsys, "class", "2", "4", "--count", "x")
         assert code == 2 and err[0].endswith("argument --count: invalid int value: 'x'")
@@ -459,6 +464,17 @@ class TestWorkCounts:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: increase digits")
         assert max(b_max for _, b_max, _ in calls) <= 5
+
+    def test_explicit_digits_profile_fails_on_its_first_table(self, capsys, monkeypatch):
+        # q_150 leaves nu(2) (about 150) unresolved at 64 digits: no retry
+        q150 = primes.smallest_prime_with_speed(150).q
+        calls = _counting(monkeypatch, arith, "tower_residues")
+        assert cli.main(["profile", str(q150), "--max-height", "2", "--digits", "64"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: increase digits (working precision 64 exhausted)"]
+        assert len(calls) == 1
+        _, b_max, digits = calls[0]
+        assert b_max <= 5 and digits == 64
 
     def test_q20_oracle_check_builds_at_most_two_tables(self, monkeypatch):
         calls = _counting(monkeypatch, arith, "tower_residues")

@@ -56,3 +56,15 @@ def test_python_m_runs_the_cli():
     assert run("min-base", "4") == (0, "15\n", "")
     code, out, err = run("speed", "40")
     assert (code, out) == (2, "") and err.startswith("error:")
+
+
+def test_tower_reference_imports_no_private_name():
+    # A helper borrowed from arith would let a wrong exact tower pass the
+    # comparison with its own output, so the reference reaches the package
+    # only through from-imports of public names.
+    path = Path(__file__).with_name("reference_tower.py")
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.split(".")[0] == "congspeed"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "congspeed":
+            assert not [a.name for a in node.names if a.name.startswith("_")], node.module
