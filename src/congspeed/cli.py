@@ -8,11 +8,14 @@ formula or oracle-certificate mismatch, or a torn or failing `q` cache line).
 `--digits` (default TCS_DIGITS, else 64; at least 16 either way) sets the
 working precision of `speed --height` and `profile` and the starting
 precision of `verify`; `speed` without `--height` chooses and grows its own.
+`main` may be called many times in one process: it builds the parser once
+for each TCS_DIGITS value, so a changed TCS_DIGITS still takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -251,8 +254,14 @@ def _cmd_oeis(args) -> Output:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for the current TCS_DIGITS; `main` shares it, so do not modify it."""
+    return _parser(os.environ.get(ENV_DIGITS) or "64")
+
+
+@functools.lru_cache(maxsize=8)
+def _parser(digits_default: str) -> argparse.ArgumentParser:
     # argparse runs a string default through `type`, so TCS_DIGITS obeys the flag's rule.
-    digits = dict(type=_at_least(16), default=os.environ.get(ENV_DIGITS) or "64")
+    digits = dict(type=_at_least(16), default=digits_default)
     parser = argparse.ArgumentParser(
         prog="congspeed",
         description="Congruence speed of integer tetration in base 10.",
@@ -267,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("speed", help="constant speed V(a), or V(a, b) with --height")
     p.add_argument("a", type=int)
-    p.add_argument("--height", type=int, default=None)
+    p.add_argument("--height", type=_at_least(1), default=None)
     p.add_argument("--digits", **digits)
     p.add_argument("--json", dest="output", action="store_const", const="json",
                    default=argparse.SUPPRESS, help="shorthand for --output json")
@@ -275,13 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="per-height frozen digits and speeds")
     p.add_argument("a", type=int)
-    p.add_argument("--max-height", type=int, required=True)
+    p.add_argument("--max-height", type=_at_least(1), required=True)
     p.add_argument("--digits", **digits)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("min-base", help="smallest base with speed N")
-    p.add_argument("n", type=int)
-    p.add_argument("--class", dest="s1", type=int, default=None)
+    p.add_argument("n", type=_at_least(0))
+    p.add_argument("--class", dest="s1", type=int, choices=range(1, 10), metavar="S1")
     p.set_defaults(func=_cmd_min_base)
 
     p = sub.add_parser("class", help="ascending members of a speed class")
@@ -291,12 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_class)
 
     p = sub.add_parser("root", help="n-digit truncation of a y^5 = y root")
-    p.add_argument("i", type=int)
-    p.add_argument("--digits", type=int, required=True)
+    p.add_argument("i", type=int, choices=range(1, 14), metavar="i")
+    p.add_argument("--digits", type=_at_least(1), required=True)
     p.set_defaults(func=_cmd_root)
 
     p = sub.add_parser("q", help="smallest prime with speed N")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_at_least(1))
     p.add_argument("--cache", type=str, default=None)
     p.add_argument("--budget", type=_at_least(1), default=None)
     p.set_defaults(func=_cmd_q)
@@ -306,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("table2", help="smallest primes per speed")
-    p.add_argument("--max", type=int, default=21)
+    p.add_argument("--max", type=_at_least(0), default=21)
     p.add_argument("--extra", type=_speeds, default=())
     p.add_argument("--cache", type=str, default=None)
     p.add_argument("--budget", type=_at_least(1), default=None)
@@ -326,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         out = args.func(args)
     except (PrecisionError, primes.SearchBudgetError) as exc:

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 
 import pytest
@@ -183,6 +185,29 @@ class TestCounts:
     def test_non_integer_message_kept(self, capsys):
         code, err = usage_error(capsys, "class", "2", "4", "--count", "x")
         assert code == 2 and err[0].endswith("argument --count: invalid int value: 'x'")
+
+    @pytest.mark.parametrize("argv,line", [
+        (["q", "0"], "congspeed q: error: argument n: must be at least 1, got 0"),
+        (["min-base", "-1"], "congspeed min-base: error: argument n: must be at least 0, got -1"),
+        (["min-base", "3", "--class", "0"], "congspeed min-base: error: argument --class: "
+         "invalid choice: 0 (choose from 1, 2, 3, 4, 5, 6, 7, 8, 9)"),
+        (["min-base", "3", "--class", "10"], "congspeed min-base: error: argument --class: "
+         "invalid choice: 10 (choose from 1, 2, 3, 4, 5, 6, 7, 8, 9)"),
+        (["root", "0", "--digits", "3"], "congspeed root: error: argument i: "
+         "invalid choice: 0 (choose from 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)"),
+        (["root", "14", "--digits", "3"], "congspeed root: error: argument i: "
+         "invalid choice: 14 (choose from 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)"),
+        (["root", "3", "--digits", "0"],
+         "congspeed root: error: argument --digits: must be at least 1, got 0"),
+        (["speed", "7", "--height", "0"],
+         "congspeed speed: error: argument --height: must be at least 1, got 0"),
+        (["profile", "2", "--max-height", "0"],
+         "congspeed profile: error: argument --max-height: must be at least 1, got 0"),
+        (["table2", "--max", "-3"],
+         "congspeed table2: error: argument --max: must be at least 0, got -3"),
+    ])
+    def test_range_names_argument(self, capsys, argv, line):
+        assert usage_error(capsys, *argv) == (2, [line])
 
 
 # One argv per command, with its CSV header; each is run in JSON and in CSV.
@@ -409,13 +434,54 @@ class TestEnvDigits:
         assert exc.value.code == 2
 
 
+class TestParserReuse:
+    """`main` reuses one parser per TCS_DIGITS value; no call may see another's state."""
+
+    def test_fifty_calls_build_one_parser(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_DIGITS, "77")  # a value no other test builds a parser for
+        built = _counting(monkeypatch, argparse.ArgumentParser, "__init__")
+        argvs = [["min-base", "4"], ["root", "9", "--digits", "3"], ["speed", "807"],
+                 ["--output", "json", "table1", "--max", "3"], ["speed", "2", "--height", "3"]]
+        assert run(capsys, *argvs[0]) == (0, "15\n")
+        first = len(built)
+        assert first >= 1
+        for argv in itertools.islice(itertools.cycle(argvs), 1, 50):
+            assert run(capsys, *argv)[0] == 0
+        assert len(built) == first
+
+    def test_digits_env_change_takes_effect(self, capsys, monkeypatch):
+        argv = ["--output", "json", "profile", "2", "--max-height", "5"]
+        for env, precision in [("96", 96), ("128", 128), ("96", 96), (None, 64)]:
+            if env is None:
+                monkeypatch.delenv(cli.ENV_DIGITS, raising=False)
+            else:
+                monkeypatch.setenv(cli.ENV_DIGITS, env)
+            code, out = run(capsys, *argv)
+            assert code == 0 and json.loads(out)["precision"] == precision
+
+    def test_output_format_does_not_carry_over(self, capsys):
+        assert json.loads(run(capsys, "speed", "807", "--json")[1])["V"] == 3
+        assert run(capsys, "speed", "807") == (0, "3\n")
+        assert run(capsys, "--output", "csv", "table1", "--max", "2")[1].startswith("n,")
+        assert run(capsys, "table1", "--max", "2") == (0, "1 - 2\n2 5 7\n")
+
+    def test_valid_call_after_usage_error(self, capsys, monkeypatch):
+        assert usage_error(capsys, "--output", "csv", "speed", "x")[0] == 2
+        assert run(capsys, "speed", "807") == (0, "3\n")
+        monkeypatch.setenv(cli.ENV_DIGITS, "8")
+        assert usage_error(capsys, "speed", "2")[0] == 2
+        monkeypatch.setenv(cli.ENV_DIGITS, "96")
+        code, out = run(capsys, "--output", "json", "profile", "2", "--max-height", "5")
+        assert code == 0 and json.loads(out)["precision"] == 96
+
+
 def _counting(monkeypatch, module, name):
     calls = []
     inner = getattr(module, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(args)
-        return inner(*args)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
