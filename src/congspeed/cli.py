@@ -174,6 +174,8 @@ def _cmd_profile(args) -> Output:
 
 def _cmd_min_base(args) -> Output:
     if args.s1 is not None:
+        if args.n < 1:
+            args.error(f"argument n: must be at least 1 with --class, got {args.n}")
         value = classes.min_base_class(args.s1, args.n)
     else:
         value = classes.min_base(args.n)
@@ -291,10 +293,10 @@ def _parser(digits_default: str) -> argparse.ArgumentParser:
     p = sub.add_parser("min-base", help="smallest base with speed N")
     p.add_argument("n", type=_at_least(0))
     p.add_argument("--class", dest="s1", type=int, choices=range(1, 10), metavar="S1")
-    p.set_defaults(func=_cmd_min_base)
+    p.set_defaults(func=_cmd_min_base, error=p.error)
 
     p = sub.add_parser("class", help="ascending members of a speed class")
-    p.add_argument("s1", type=int)
+    p.add_argument("s1", type=int, choices=range(1, 10), metavar="s1")
     p.add_argument("n", type=_at_least(1))
     p.add_argument("--count", type=_at_least(1), required=True)
     p.set_defaults(func=_cmd_class)

@@ -5,9 +5,10 @@ in ascending order and tested for primality; the first hit is the record
 holder.  The even classes and class 5 hold no prime except 5 itself
 (V(5) = 2), so they are never enumerated.  A candidate above _SIEVE_BOUND
 that shares a factor with the primorial of the primes up to that bound is
-struck by one gcd before Miller-Rabin runs; it still counts as examined.
-Numbers below 2^64 get a deterministic Miller-Rabin verdict; larger
-candidates get a Baillie-PSW style answer and are tagged as probabilistic.
+struck by one gcd before the primality test runs; it still counts as
+examined.  Every verdict is Baillie-PSW: a strong base-2 round, then a strong
+Lucas test.  Feitsma and Galway listed every base-2 strong pseudoprime below
+2^64 and none passes the Lucas test, so only larger verdicts are "probabilistic".
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Iterator
 
 from . import arith, classes, speed
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_LIMIT = 1 << 64
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 # The search's gcd prefilter strikes candidates with a prime factor up to here.
@@ -63,8 +63,10 @@ class RepnineForm:
         return (self.k + 1) * 10**self.n - 1
 
 
-def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
-    x = pow(a, d, n)
+def _miller_rabin_round(n: int) -> bool:
+    """Strong probable-prime test to base 2 for odd n."""
+    s = arith.valuation(2, n - 1)
+    x = pow(2, (n - 1) >> s, n)
     if x in (1, n - 1):
         return True
     for _ in range(s - 1):
@@ -100,20 +102,18 @@ def _strong_lucas_prp(n: int) -> bool:
         if j == 0 and abs(d) != n:
             return False
         d = -(d + 2) if d > 0 else -(d - 2)
-    p, q = 1, (1 - d) // 4
-
-    def _half(x: int) -> int:
-        return (x + n) // 2 % n if x & 1 else x // 2 % n
-
+    q = (1 - d) // 4  # and P = 1
     s = arith.valuation(2, n + 1)
     t = (n + 1) >> s
-    u, v, qk = 1, p, q % n
+    u, v, qk = 1, 1, q % n
     for bit in bin(t)[3:]:
         u, v = u * v % n, (v * v - 2 * qk) % n
         qk = qk * qk % n
-        if bit == "1":
-            u, v = _half(p * u + v), _half(d * u + p * v)
+        if bit == "1":  # (U, V) -> ((U + V) / 2, (D*U + V) / 2); n is odd, so add n to halve
+            u, v = u + v, d * u + v
+            u, v = (u + n * (u & 1)) >> 1, (v + n * (v & 1)) >> 1
             qk = qk * q % n
+    u, v = u % n, v % n
     if u == 0 or v == 0:
         return True
     for _ in range(s - 1):
@@ -125,7 +125,7 @@ def _strong_lucas_prp(n: int) -> bool:
 
 
 def is_prime(x: int) -> bool:
-    """Deterministic below 2^64, Baillie-PSW style above."""
+    """Baillie-PSW at every size: exact below 2^64 (Feitsma-Galway), probabilistic above."""
     if x < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -133,13 +133,7 @@ def is_prime(x: int) -> bool:
             return True
         if x % p == 0:
             return False
-    s = arith.valuation(2, x - 1)
-    d = (x - 1) >> s
-    if x < _DETERMINISTIC_LIMIT:
-        return all(_miller_rabin_round(x, a, d, s) for a in _MR_WITNESSES)
-    if not _miller_rabin_round(x, 2, d, s):
-        return False
-    return _strong_lucas_prp(x)
+    return _miller_rabin_round(x) and _strong_lucas_prp(x)
 
 
 def primality_method(x: int) -> str:

@@ -20,6 +20,7 @@ def run(capsys, *argv):
 class TestBareValues:
     def test_min_base(self, capsys):
         assert run(capsys, "min-base", "4") == (0, "15\n")
+        assert run(capsys, "min-base", "0") == (0, "1\n")
 
     def test_min_base_class(self, capsys):
         assert run(capsys, "min-base", "9", "--class", "2") == (0, "280182\n")
@@ -205,6 +206,12 @@ class TestCounts:
          "congspeed profile: error: argument --max-height: must be at least 1, got 0"),
         (["table2", "--max", "-3"],
          "congspeed table2: error: argument --max: must be at least 0, got -3"),
+        (["class", "0", "4", "--count", "3"], "congspeed class: error: argument s1: "
+         "invalid choice: 0 (choose from 1, 2, 3, 4, 5, 6, 7, 8, 9)"),
+        (["class", "10", "4", "--count", "3"], "congspeed class: error: argument s1: "
+         "invalid choice: 10 (choose from 1, 2, 3, 4, 5, 6, 7, 8, 9)"),
+        (["min-base", "0", "--class", "3"],
+         "congspeed min-base: error: argument n: must be at least 1 with --class, got 0"),
     ])
     def test_range_names_argument(self, capsys, argv, line):
         assert usage_error(capsys, *argv) == (2, [line])
@@ -295,6 +302,20 @@ class TestCache:
         assert cli.main(["q", "5", "--cache", str(path)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "verification" in err[0]
+
+    # Strong pseudoprimes to base 2.  2047 = 23 * 89 has V = 1, so trial
+    # division and the speed check also reject it at n = 3.  90751 = 151 * 601
+    # has V = 3 and no prime factor below 54: only the Lucas step rejects it.
+    @pytest.mark.parametrize("q", [2047, 90751])
+    def test_base2_pseudoprime_in_table2_cache_is_3(self, capsys, tmp_path, q):
+        assert primes._miller_rabin_round(q)
+        assert 90751 == 151 * 601 and classes.speed_by_formula(90751) == 3
+        path = tmp_path / "q.jsonl"
+        path.write_text(f'{{"n": 3, "q": "{q}", "method": "deterministic-small", '
+                        '"oracle_checked": true}\n')
+        assert cli.main(["table2", "--max", "3", "--cache", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: cache entry for n = 3 fails verification"]
 
     def test_torn_line_is_3(self, capsys, tmp_path):
         path = tmp_path / "q.jsonl"

@@ -2,10 +2,12 @@ import heapq
 import itertools
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 
+import reference_primality
 from congspeed import primes
 from congspeed.classes import class_spec, speed_by_formula
 from congspeed.primes import (
@@ -35,6 +37,11 @@ def sieve_primality(limit):
     return flags
 
 
+def assert_matches_reference(xs):
+    for x in xs:
+        assert is_prime(x) == reference_primality.is_prime(x), x
+
+
 class TestIsPrime:
     def test_agrees_with_sieve(self):
         flags = sieve_primality(5000)
@@ -47,7 +54,7 @@ class TestIsPrime:
         assert is_prime(29509900499)
 
     def test_strong_pseudoprime_composites(self):
-        # strong pseudoprime to bases 2, 3, 5, 7 -- the full witness set
+        # strong pseudoprime to bases 2, 3, 5, 7 -- the strong Lucas test
         # must still reject it
         assert 3215031751 == 151 * 751 * 28351
         assert not is_prime(3215031751)
@@ -74,6 +81,61 @@ class TestIsPrime:
         for _ in range(120):
             x = rng.randrange(2**66, 2**80) | 1
             assert is_prime(x) == sympy.isprime(x), x
+
+    def test_deterministic_range_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(601)
+        for _ in range(300):
+            x = rng.randrange(2**32, 2**64) | 1
+            assert is_prime(x) == sympy.isprime(x), x
+            p = sympy.nextprime(x)
+            if p < 2**64:
+                assert is_prime(p), p
+
+    # Baillie-PSW against the kernel it replaced, which ran 12 Miller-Rabin
+    # rounds (bases 2-37) below 2^64.
+    def test_every_small_x(self):
+        assert_matches_reference(range(300_000))
+
+    def test_seeded_odd_64_bit(self):
+        rng = random.Random(16)
+        assert_matches_reference(rng.randrange(2**32, 2**64) | 1 for _ in range(20_000))
+
+    def test_seeded_semiprimes(self):
+        rng = random.Random(17)
+
+        def prime():
+            x = rng.randrange(2**30, 2**32) | 1
+            while not reference_primality.is_prime(x):
+                x += 2
+            return x
+
+        assert_matches_reference(prime() * prime() for _ in range(2_000))
+
+    def test_seeded_above_64_bits(self):
+        rng = random.Random(18)
+        assert_matches_reference(
+            rng.getrandbits(k) | 1 << (k - 1) | 1
+            for k in (rng.randrange(65, 401) for _ in range(1_000))
+        )
+
+    def test_a014233_strong_pseudoprimes(self):
+        # The least strong pseudoprime to all of the first k prime bases, k = 1..9.
+        for x in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                  341550071728321, 3825123056546413051, 318665857834031151167461):
+            assert not is_prime(x), x
+
+    def test_strong_lucas_against_reference(self):
+        for n in range(3, 300_000, 2):
+            if math.isqrt(n) ** 2 != n:
+                got = primes._strong_lucas_prp(n)
+                assert got == reference_primality._strong_lucas_prp(n), n
+
+    @pytest.mark.parametrize("n", [5459, 5777])
+    def test_strong_lucas_pseudoprimes(self, n):
+        # Composites that pass the strong Lucas test; the base-2 round rejects them.
+        assert primes._strong_lucas_prp(n) and reference_primality._strong_lucas_prp(n)
+        assert not primes._miller_rabin_round(n) and not is_prime(n)
 
 
 class TestRepnine:
