@@ -4,12 +4,10 @@ Big integers are always serialized as decimal strings in JSON so output
 survives any consumer.  Every failure prints one `error:` line to stderr
 and exits with 1 (precision or search budget exhausted), 2 (usage error,
 including a base divisible by 10) or 3 (verification failure: a fixture,
-formula or oracle-certificate mismatch, or a torn or failing `q` cache line).
-`--digits` (default TCS_DIGITS, else 64; at least 16 either way) sets the
-working precision of `speed --height` and `profile` and the starting
-precision of `verify`; `speed` without `--height` chooses and grows its own.
-`main` may be called many times in one process: it builds the parser once
-for each TCS_DIGITS value, so a changed TCS_DIGITS still takes effect.
+formula or oracle-certificate mismatch, or a torn, mistyped or failing `q`
+cache line).  The oracle picks and grows its own precision, so no command
+takes one.  `main` may be called many times in one process: it builds the
+parser once and shares it between calls.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from .speed import (
     speed_profile,
 )
 
-ENV_DIGITS = "TCS_DIGITS"
 EXIT_OK = 0
 EXIT_RESOURCE = 1
 EXIT_USAGE = 2
@@ -106,12 +103,15 @@ def _load_cache(path: str) -> dict:
                 continue
             try:
                 obj = json.loads(line)
-                rec = PrimeSpeedRecord(
-                    int(obj["n"]), int(obj["q"]), obj["method"], bool(obj["oracle_checked"])
-                )
+                n, q, method, checked = (obj[k] for k in ("n", "q", "method", "oracle_checked"))
+                q = int(q) if isinstance(q, str) and q.isascii() and q.isdecimal() else q
+                # type(), not isinstance(): a JSON true is neither a count nor a prime
+                typed = (type(n), type(q), type(checked)) == (int, int, bool)
+                if not typed or method != primes.primality_method(q):
+                    raise ValueError("mistyped field, or a method that is not q's")
             except (ValueError, KeyError, TypeError) as exc:
                 raise CacheError(f"{path}:{lineno}: unreadable cache line") from exc
-            cache[rec.n] = rec
+            cache[n] = PrimeSpeedRecord(n, q, method, checked)
     return cache
 
 
@@ -148,7 +148,7 @@ def _resolver(cache_path: str | None, budget: int | None):
 def _cmd_speed(args) -> Output:
     a = args.a
     if args.height is not None:
-        v = speed_at_height(a, args.height, args.digits)
+        v = speed_at_height(a, args.height)
         heights = [[args.height, v]]
     else:
         profile = speed_profile(a)
@@ -158,7 +158,7 @@ def _cmd_speed(args) -> Output:
 
 
 def _cmd_profile(args) -> Output:
-    profile = speed_profile(args.a, args.max_height, args.digits)
+    profile = speed_profile(args.a, args.max_height)
     rows = [[e.height, e.frozen, e.speed] for e in profile.entries]
     payload = {
         "a": str(args.a),
@@ -228,7 +228,7 @@ def _cmd_table2(args) -> Output:
 
 def _cmd_verify(args) -> Output:
     # The sweep checks its range, so a bad one fails before the costly fixture runs.
-    report = verify.sweep(2, args.sweep, precision=max(40, args.digits))
+    report = verify.sweep(2, args.sweep)
     try:
         verify.phase_shift_fixture()
         fixture_ok = True
@@ -255,15 +255,9 @@ def _cmd_oeis(args) -> Output:
                   ["n", "a"], rows, [f"{n} {a}" for n, a in rows])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser for the current TCS_DIGITS; `main` shares it, so do not modify it."""
-    return _parser(os.environ.get(ENV_DIGITS) or "64")
-
-
-@functools.lru_cache(maxsize=8)
-def _parser(digits_default: str) -> argparse.ArgumentParser:
-    # argparse runs a string default through `type`, so TCS_DIGITS obeys the flag's rule.
-    digits = dict(type=_at_least(16), default=digits_default)
+    """The one parser; `main` shares it between calls, so do not modify it."""
     parser = argparse.ArgumentParser(
         prog="congspeed",
         description="Congruence speed of integer tetration in base 10.",
@@ -279,15 +273,11 @@ def _parser(digits_default: str) -> argparse.ArgumentParser:
     p = sub.add_parser("speed", help="constant speed V(a), or V(a, b) with --height")
     p.add_argument("a", type=int)
     p.add_argument("--height", type=_at_least(1), default=None)
-    p.add_argument("--digits", **digits)
-    p.add_argument("--json", dest="output", action="store_const", const="json",
-                   default=argparse.SUPPRESS, help="shorthand for --output json")
     p.set_defaults(func=_cmd_speed)
 
     p = sub.add_parser("profile", help="per-height frozen digits and speeds")
     p.add_argument("a", type=int)
     p.add_argument("--max-height", type=_at_least(1), required=True)
-    p.add_argument("--digits", **digits)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("min-base", help="smallest base with speed N")
@@ -325,7 +315,6 @@ def _parser(digits_default: str) -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="oracle-vs-formula sweep plus fixtures")
     p.add_argument("--sweep", type=int, required=True)
-    p.add_argument("--digits", **digits)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oeis", help="b-file export")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import arith
 
-# Working precision an automatic query starts from.
+# Working precision every oracle query starts from.
 _START_DIGITS = 64
 
 # Cap on the per-length part of the stabilization floor, the default depth
@@ -30,15 +30,11 @@ class UndefinedSpeedError(ValueError):
 
 
 class PrecisionError(RuntimeError):
-    """The requested working precision cannot resolve the answer."""
+    """The towers cannot be read within the oracle's precision bound."""
 
 
 class CertificateMismatch(RuntimeError):
     """The tower residues contradict the certified frozen-digit lines."""
-
-
-def _exhausted(digits: int) -> PrecisionError:
-    return PrecisionError(f"increase digits (working precision {digits} exhausted)")
 
 
 @dataclass(frozen=True)
@@ -104,17 +100,9 @@ def _frozen_table(a: int, b_max: int, digits: int) -> list:
     return _nus(_side_reads(a, b_max, digits))
 
 
-def speed_at_height(a: int, b: int, digits: int) -> int:
-    """V(a, b) = nu(b) - nu(b-1); V(a, 1) = nu(1)."""
-    _require_valid_base(a)
-    if b < 1 or digits < 1:
-        raise ValueError("height and digits must be >= 1")
-    if a == 1:
-        return 0
-    nus = _frozen_table(a, b, digits)
-    if None in nus[-2:]:
-        raise _exhausted(digits)
-    return nus[-1] - (nus[-2] if b > 1 else 0)
+def speed_at_height(a: int, b: int) -> int:
+    """V(a, b) = nu(b) - nu(b-1), V(a, 1) = nu(1), off the certified profile."""
+    return speed_profile(a, b).speeds[-1]
 
 
 def stabilization_floor(a: int) -> int:
@@ -142,11 +130,9 @@ def _slope_line(t: list, digits: int) -> list | None:
     return line if line[k] >= digits else None
 
 
-def _certify(a: int, digits: int, b_max: int = 4, fixed: bool = False) -> tuple[int, list, list]:
+def _certify(a: int, digits: int, b_max: int = 4) -> tuple[int, list, list]:
     """(V, lines, nus) for a > 1: V(a), the lines t2, t5 at heights 1-4 that
-    certify it, and nu(1..) off the last table read.  With fixed digits
-    (b_max <= 4), a nu at heights 1..b_max that the first table leaves
-    unresolved is `digits` or more and raises PrecisionError at once.
+    certify it, and nu(1..) off the last table read.
 
     An affine side must read one positive slope over heights 2-4, and the
     5-side needs t2(2) >= 2 so that ord_5(a) divides every later exponent
@@ -160,8 +146,6 @@ def _certify(a: int, digits: int, b_max: int = 4, fixed: bool = False) -> tuple[
     limit, heights = 5 * a.bit_length() + 1, 4
     for retry in (False, True):
         reads = _side_reads(a, heights, digits)
-        if fixed and None in _nus(reads)[:b_max]:
-            raise _exhausted(digits)
         lines = [t[:4] for t in reads]
         unread = [p for p, t in zip((2, 5), lines) if a % p and None in t]
         if not unread:
@@ -196,33 +180,27 @@ def constant_speed(a: int, start_digits: int | None = None) -> int:
     return _certify(a, start_digits or _START_DIGITS)[0]
 
 
-def speed_profile(a: int, b_max: int | None = None, digits: int | None = None) -> SpeedProfile:
+def speed_profile(a: int, b_max: int | None = None) -> SpeedProfile:
     """Per-height table of frozen digits and speeds up to b_max.
 
-    b_max defaults to stabilization_floor(a).  nu(1..b_max) is read off the
-    last table _certify built, or one more at the digits the lines predict
-    for height b_max, and must equal the lines (else CertificateMismatch).
-    With explicit digits the certificate stays 4 heights tall, and the
-    profile raises PrecisionError, before any taller table, when the lines
-    put a height at `digits` or more, and before any retry when the first
-    table leaves a height up to 4 unresolved; the reported precision is the
-    smallest doubling of the start (explicit, or 64) that resolves them all.
+    b_max defaults to stabilization_floor(a).  The oracle picks its own
+    precision: nu(1..b_max) is read off the last table _certify built, or
+    one more at the digits the lines predict for height b_max, and must
+    equal the lines (else CertificateMismatch).  The reported precision is
+    the smallest doubling of 64 that resolves every height.
     """
     base = TetrationBase.from_int(a)
     if b_max is None:
         b_max = stabilization_floor(a)
     if b_max < 1:
         raise ValueError("b_max must be >= 1")
-    n = digits or _START_DIGITS
+    n = _START_DIGITS
     if a == 1:
         entries = tuple(ProfileEntry(b, None, 0) for b in range(1, b_max + 1))
         return SpeedProfile(base, n, entries, 0)
-    fixed = digits is not None
-    v, lines, nus = _certify(a, n, min(b_max, 4) if fixed else b_max, fixed)
+    v, lines, nus = _certify(a, n, b_max)
     lined = [_line_nu(a, lines, b) for b in range(1, b_max + 1)]
     top = max(lined)
-    if fixed and top >= digits:
-        raise _exhausted(digits)
     nus = nus[:b_max]
     if len(nus) < b_max or None in nus:
         nus = _frozen_table(a, b_max, top + 1)

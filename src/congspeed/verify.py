@@ -68,7 +68,7 @@ def sweep(a_min: int, a_max: int, precision: int = 40) -> SweepReport:
 @functools.lru_cache(maxsize=1)
 def _phase_shift_profile() -> SpeedProfile:
     a = PHASE_SHIFT_BASE_ROOT**PHASE_SHIFT_BASE_EXP
-    return speed_profile(a, 6, 80)
+    return speed_profile(a, 6)
 
 
 def phase_shift_fixture() -> SpeedProfile:

@@ -115,7 +115,7 @@ def test_criterion_05_anomaly_profiles():
     p807 = speed_profile(807, 8)
     ok = p807.speeds[1:5] == [4, 4, 4, 4] and p807.constant_speed == 3
     for a in (499, 29509900499):
-        p = speed_profile(a, 5, 60)
+        p = speed_profile(a, 5)
         ok = ok and p.speeds[0] == 3 and all(v == 2 for v in p.speeds[1:])
         ok = ok and p.constant_speed == 2
     phase = verify.phase_shift_fixture()

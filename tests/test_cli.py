@@ -7,8 +7,8 @@ import json
 
 import pytest
 
+import reference_profile
 from congspeed import arith, classes, cli, decadic, primes, speed, verify
-from test_speed import family_member
 
 
 def run(capsys, *argv):
@@ -34,7 +34,11 @@ class TestBareValues:
         assert run(capsys, "speed", "807") == (0, "3\n")
 
     def test_speed_at_height(self, capsys):
-        assert run(capsys, "speed", "2", "--height", "3", "--digits", "20") == (0, "1\n")
+        assert run(capsys, "speed", "2", "--height", "3") == (0, "1\n")
+
+    def test_tall_height_sizes_its_own_precision(self, capsys):
+        nus = reference_profile.frozen_counts(65535, 9)
+        assert run(capsys, "speed", "65535", "--height", "9") == (0, f"{nus[8] - nus[7]}\n")
 
     def test_q(self, capsys):
         assert run(capsys, "q", "6") == (0, "2218751\n")
@@ -42,7 +46,7 @@ class TestBareValues:
 
 class TestJson:
     def test_speed_json_roundtrip(self, capsys):
-        code, out = run(capsys, "speed", "807", "--json")
+        code, out = run(capsys, "--output", "json", "speed", "807")
         assert code == 0
         obj = json.loads(out)
         assert obj["a"] == "807"
@@ -61,14 +65,13 @@ class TestJson:
         ],
     )
     def test_speed_json_heights(self, capsys, a, speeds):
-        code, out = run(capsys, "speed", a, "--json")
+        code, out = run(capsys, "--output", "json", "speed", a)
         assert code == 0
         assert json.loads(out)["heights"] == [[b, v] for b, v in enumerate(speeds, 1)]
         assert len(speeds) == speed.stabilization_floor(int(a))
 
     def test_profile_json(self, capsys):
-        code, out = run(capsys, "--output", "json", "profile", "2", "--max-height", "5",
-                        "--digits", "20")
+        code, out = run(capsys, "--output", "json", "profile", "2", "--max-height", "5")
         obj = json.loads(out)
         assert code == 0
         assert obj["a"] == "2"
@@ -175,8 +178,9 @@ class TestCounts:
                                          ["verify", "--sweep", "20"]])
     @pytest.mark.parametrize("value", ["0", "8", "-1"])
     def test_digits(self, capsys, command, value):
-        code, err = usage_error(capsys, *command, "--digits", value)
-        assert code == 2 and len(err) == 1 and "--digits" in err[0]
+        # the oracle sizes its own precision; only `root --digits` remains
+        assert usage_error(capsys, *command, "--digits", value) == (
+            2, [f"congspeed: error: unrecognized arguments: --digits {value}"])
 
     @pytest.mark.parametrize("value", ["5,x", "0", "5,0", "3,,4"])
     def test_table2_extra(self, capsys, value):
@@ -220,7 +224,7 @@ class TestCounts:
 # One argv per command, with its CSV header; each is run in JSON and in CSV.
 COMMANDS = {
     "speed": (["speed", "807"], "a,V"),
-    "profile": (["profile", "2", "--max-height", "5", "--digits", "20"], "height,frozen,speed"),
+    "profile": (["profile", "2", "--max-height", "5"], "height,frozen,speed"),
     "min-base": (["min-base", "9", "--class", "2"], "n,s1,value"),
     "class": (["class", "2", "4", "--count", "3"], "member"),
     "root": (["root", "10", "--digits", "3"], "root,digits,value"),
@@ -251,7 +255,7 @@ class TestOutputFormats:
     def test_verify_csv(self, capsys):
         code, out = run(capsys, "--output", "csv", "verify", "--sweep", "20")
         assert list(csv.DictReader(io.StringIO(out))) == [
-            {"a_min": "2", "a_max": "20", "precision": "64", "mismatches": "0",
+            {"a_min": "2", "a_max": "20", "precision": "40", "mismatches": "0",
              "fixture_ok": "True"}
         ]
 
@@ -259,10 +263,6 @@ class TestOutputFormats:
         code, out = run(capsys, "--output", "json", "oeis", "--min-bases", "--terms", "3")
         assert json.loads(out) == {"rows": [{"n": 0, "a": "1"}, {"n": 1, "a": "2"},
                                             {"n": 2, "a": "5"}]}
-
-    def test_speed_json_flag_wins(self, capsys):
-        code, out = run(capsys, "--output", "csv", "speed", "807", "--json")
-        assert code == 0 and json.loads(out)["V"] == 3
 
 
 class TestOeis:
@@ -326,6 +326,29 @@ class TestCache:
         assert len(err) == 1 and err[0].startswith("error:")
         assert f"{path}:2:" in err[0]
 
+    # One field off per line, as JSON text; the rest is the record for n = 3.
+    @pytest.mark.parametrize("field,text", [
+        ("n", "4.9"), ("n", "true"), ("n", '"3"'),
+        ("q", "193.0"), ("q", '"0x1"'), ("q", '" 193"'), ("q", '"193.0"'), ("q", "null"),
+        ("method", '"banana"'), ("method", '"probabilistic"'),
+        ("oracle_checked", '"false"'), ("oracle_checked", "1"),
+    ])
+    def test_mistyped_field_is_3(self, capsys, tmp_path, field, text):
+        record = {"n": "3", "q": '"193"', "method": '"deterministic-small"',
+                  "oracle_checked": "true", field: text}
+        path = tmp_path / "q.jsonl"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}\n")
+        assert cli.main(["q", "3", "--cache", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {path}:1: unreadable cache line\n"
+
+    def test_integer_q_is_served(self, capsys, tmp_path):
+        path = tmp_path / "q.jsonl"
+        path.write_text('{"n": 3, "q": 193, "method": "deterministic-small", '
+                        '"oracle_checked": false}\n')
+        code, out = run(capsys, "--output", "json", "q", "3", "--cache", str(path))
+        assert code == 0 and json.loads(out) == {
+            "n": 3, "q": "193", "method": "deterministic-small", "oracle_checked": False}
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
@@ -337,9 +360,6 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
-
-    def test_precision_error_is_1(self, capsys):
-        assert cli.main(["speed", "65535", "--height", "9", "--digits", "20"]) == 1
 
     def test_budget_error_is_1(self, capsys):
         assert cli.main(["q", "6", "--budget", "1"]) == 1
@@ -431,35 +451,11 @@ class TestClassEdges:
         assert value == 0
 
 
-class TestEnvDigitsScope:
-    def test_ignored_without_digits_option(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_DIGITS, "8")
-        assert run(capsys, "min-base", "3") == (0, "25\n")
-
-
-class TestEnvDigits:
-    def test_env_overrides_default(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_DIGITS, "96")
-        code, out = run(capsys, "speed", "2")
-        assert (code, out) == (0, "1\n")
-
-    def test_env_sets_working_precision(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_DIGITS, "96")
-        code, out = run(capsys, "--output", "json", "profile", "2", "--max-height", "5")
-        assert code == 0 and json.loads(out)["precision"] == 96
-
-    def test_env_too_small_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_DIGITS, "8")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["speed", "2"])
-        assert exc.value.code == 2
-
-
 class TestParserReuse:
-    """`main` reuses one parser per TCS_DIGITS value; no call may see another's state."""
+    """`main` reuses one parser for every call; no call may see another's state."""
 
     def test_fifty_calls_build_one_parser(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_DIGITS, "77")  # a value no other test builds a parser for
+        cli.build_parser.cache_clear()  # so the first call below builds it
         built = _counting(monkeypatch, argparse.ArgumentParser, "__init__")
         argvs = [["min-base", "4"], ["root", "9", "--digits", "3"], ["speed", "807"],
                  ["--output", "json", "table1", "--max", "3"], ["speed", "2", "--height", "3"]]
@@ -470,30 +466,18 @@ class TestParserReuse:
             assert run(capsys, *argv)[0] == 0
         assert len(built) == first
 
-    def test_digits_env_change_takes_effect(self, capsys, monkeypatch):
-        argv = ["--output", "json", "profile", "2", "--max-height", "5"]
-        for env, precision in [("96", 96), ("128", 128), ("96", 96), (None, 64)]:
-            if env is None:
-                monkeypatch.delenv(cli.ENV_DIGITS, raising=False)
-            else:
-                monkeypatch.setenv(cli.ENV_DIGITS, env)
-            code, out = run(capsys, *argv)
-            assert code == 0 and json.loads(out)["precision"] == precision
-
     def test_output_format_does_not_carry_over(self, capsys):
-        assert json.loads(run(capsys, "speed", "807", "--json")[1])["V"] == 3
+        assert json.loads(run(capsys, "--output", "json", "speed", "807")[1])["V"] == 3
         assert run(capsys, "speed", "807") == (0, "3\n")
         assert run(capsys, "--output", "csv", "table1", "--max", "2")[1].startswith("n,")
         assert run(capsys, "table1", "--max", "2") == (0, "1 - 2\n2 5 7\n")
 
-    def test_valid_call_after_usage_error(self, capsys, monkeypatch):
+    def test_valid_call_after_usage_error(self, capsys):
         assert usage_error(capsys, "--output", "csv", "speed", "x")[0] == 2
         assert run(capsys, "speed", "807") == (0, "3\n")
-        monkeypatch.setenv(cli.ENV_DIGITS, "8")
-        assert usage_error(capsys, "speed", "2")[0] == 2
-        monkeypatch.setenv(cli.ENV_DIGITS, "96")
+        assert usage_error(capsys, "profile", "2", "--max-height", "0")[0] == 2
         code, out = run(capsys, "--output", "json", "profile", "2", "--max-height", "5")
-        assert code == 0 and json.loads(out)["precision"] == 96
+        assert code == 0 and json.loads(out)["precision"] == 64
 
 
 def _counting(monkeypatch, module, name):
@@ -542,26 +526,6 @@ class TestWorkCounts:
         assert speed.constant_speed(q150) == 150
         assert len(calls) <= 2
         assert max(b_max for _, b_max, _ in calls) <= 5
-
-    def test_explicit_digits_profile_fails_from_short_tables(self, capsys, monkeypatch):
-        # V = 25 puts nu(64) near 1,600 digits: exit 1 without building it
-        calls = _counting(monkeypatch, arith, "tower_residues")
-        a = str(family_member(25))
-        assert cli.main(["profile", a, "--max-height", "64", "--digits", "64"]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: increase digits")
-        assert max(b_max for _, b_max, _ in calls) <= 5
-
-    def test_explicit_digits_profile_fails_on_its_first_table(self, capsys, monkeypatch):
-        # q_150 leaves nu(2) (about 150) unresolved at 64 digits: no retry
-        q150 = primes.smallest_prime_with_speed(150).q
-        calls = _counting(monkeypatch, arith, "tower_residues")
-        assert cli.main(["profile", str(q150), "--max-height", "2", "--digits", "64"]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: increase digits (working precision 64 exhausted)"]
-        assert len(calls) == 1
-        _, b_max, digits = calls[0]
-        assert b_max <= 5 and digits == 64
 
     def test_q20_oracle_check_builds_at_most_two_tables(self, monkeypatch):
         calls = _counting(monkeypatch, arith, "tower_residues")

@@ -44,6 +44,17 @@ def test_oracle_imports_nothing_from_the_formula_side():
                 assert not formula_side & set(module.split(".")), (name, module)
 
 
+def test_no_module_reads_the_environment():
+    # Every answer follows from the arguments alone: no hidden knob such as
+    # a precision taken from an environment variable.
+    for path in Path(congspeed.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("environ", "environb", "getenv", "getenvb"), path.name
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                assert not [a.name for a in node.names if "env" in a.name], path.name
+
+
 def test_python_m_runs_the_cli():
     src = str(Path(congspeed.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

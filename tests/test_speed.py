@@ -13,7 +13,6 @@ from congspeed.speed import (
     _frozen_table,
     _line_nu,
     constant_speed,
-    PrecisionError,
     speed_at_height,
     speed_profile,
     stabilization_floor,
@@ -34,15 +33,15 @@ class TestFrozenDigits:
     def test_base_two(self):
         # towers 2, 4, 16, 65536: one shared digit between 16 and 65536
         assert _frozen_table(2, 3, 10) == [0, 0, 1]
-        assert speed_profile(2, 3, 10).frozen_counts == [0, 0, 1]
+        assert speed_profile(2, 3).frozen_counts == [0, 0, 1]
 
     def test_base_one_marker(self):
-        assert speed_profile(1, 1, 10).frozen_counts == [None]
-        assert speed_profile(1, 7, 50).frozen_counts == [None] * 7
+        assert speed_profile(1, 1).frozen_counts == [None]
+        assert speed_profile(1, 7).frozen_counts == [None] * 7
 
     def test_multiple_of_ten_rejected(self):
         with pytest.raises(UndefinedSpeedError):
-            speed_profile(20, 2, 10)
+            speed_profile(20, 2)
 
     def test_exact_reference_base_five(self):
         # Fully independent: exact exponents throughout, no chain logic.
@@ -52,25 +51,21 @@ class TestFrozenDigits:
         nu2 = v10((t2 - 3125) % m)
         nu3 = v10((pow(5, t2, m) - t2) % m)
         assert _frozen_table(5, 3, 40) == [nu1, nu2, nu3]
-        assert speed_profile(5, 3, 40).frozen_counts == [nu1, nu2, nu3]
+        assert speed_profile(5, 3).frozen_counts == [nu1, nu2, nu3]
         assert (nu1, nu2, nu3) == (1, 5, 8)
 
 
 class TestSpeedAtHeight:
     def test_fixtures(self):
-        assert speed_at_height(2, 3, 20) == 1
-        assert speed_at_height(499, 2, 40) == 2
-        assert speed_at_height(499, 1, 40) == 3
+        assert speed_at_height(2, 3) == 1
+        assert speed_at_height(499, 2) == 2
+        assert speed_at_height(499, 1) == 3
 
     def test_phase_shift_height_two(self):
-        assert speed_at_height(143**625, 2, 80) == 6
+        assert speed_at_height(143**625, 2) == 6
 
     def test_base_one(self):
-        assert speed_at_height(1, 5, 20) == 0
-
-    def test_precision_exhausted(self):
-        with pytest.raises(PrecisionError, match="increase"):
-            speed_at_height(65535, 9, 20)
+        assert speed_at_height(1, 5) == 0
 
 
 class TestConstantSpeed:
@@ -83,24 +78,24 @@ class TestConstantSpeed:
             constant_speed(110)
 
     def test_anomalous_base_runs_high_before_settling(self):
-        assert [speed_at_height(807, b, 64) for b in range(2, 6)] == [4, 4, 4, 4]
+        assert [speed_at_height(807, b) for b in range(2, 6)] == [4, 4, 4, 4]
         assert constant_speed(807) == 3
 
 
 class TestSpeedProfile:
     def test_base_two(self):
-        assert speed_profile(2, 5, 20).speeds == [0, 0, 1, 1, 1]
+        assert speed_profile(2, 5).speeds == [0, 0, 1, 1, 1]
 
     def test_phase_shift(self):
         from congspeed.verify import phase_shift_fixture
 
-        p = phase_shift_fixture()  # speed_profile(143**625, 6, 80), cached
+        p = phase_shift_fixture()  # speed_profile(143**625, 6), cached
         assert p.speeds == [0, 6, 6, 5, 4, 4]
         assert p.constant_speed == 4
         assert p.base.length == 1348
 
     def test_repnine_prime_pattern(self):
-        p = speed_profile(29509900499, 3, 60)
+        p = speed_profile(29509900499, 3)
         assert p.speeds[:2] == [3, 2]
         assert p.constant_speed == 2
 
@@ -111,7 +106,7 @@ class TestSpeedProfile:
         assert p.constant_speed == 11
 
     def test_base_one(self):
-        p = speed_profile(1, 4, 20)
+        p = speed_profile(1, 4)
         assert p.speeds == [0, 0, 0, 0]
         assert p.frozen_counts == [None] * 4
         assert p.constant_speed == 0
@@ -127,10 +122,6 @@ class TestSpeedProfile:
             tail = p.speeds[2:]
             assert all(x >= y for x, y in zip(tail, tail[1:]))
 
-    def test_strict_precision(self):
-        with pytest.raises(PrecisionError):
-            speed_profile(65535, 9, 20)
-
     def test_base_record(self):
         b = TetrationBase.from_int(807)
         assert (b.a, b.s1, b.length) == (807, 7, 3)
@@ -145,13 +136,13 @@ class TestStabilization:
                 continue
             v = constant_speed(a)
             length = len(str(a))
-            assert speed_at_height(a, length + 3, 96) == v, a
-            assert speed_at_height(a, length + 5, 96) == v, a
+            assert speed_at_height(a, length + 3) == v, a
+            assert speed_at_height(a, length + 5) == v, a
 
     def test_tall_tower_heights(self):
         # A tower taller than its own base is always past stabilization.
         for a in (2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 25, 31, 49):
-            assert speed_at_height(a, a + 1, 256) == constant_speed(a)
+            assert speed_at_height(a, a + 1) == constant_speed(a)
 
 
 class TestResolvedIsExact:
@@ -160,7 +151,8 @@ class TestResolvedIsExact:
 
     def test_resolved_near_precision_answers(self):
         # nu(5) = 11 and nu(6) = 13 at 20 digits: resolved, hence exact
-        assert speed_at_height(499, 6, 20) == 2
+        nus = _frozen_table(499, 6, 20)
+        assert nus[4:] == [11, 13] and nus == _frozen_table(499, 6, 60)
 
     def test_start_precision_resolves_without_doubling(self, monkeypatch):
         calls = []
@@ -184,11 +176,16 @@ class TestResolvedIsExact:
         nus, wide = _frozen_table(a, b, n), _frozen_table(a, b, 3 * n)
         for nu, ref in zip(nus, wide):
             assert nu is None or nu == ref
-        if None in nus[-2:]:
-            with pytest.raises(PrecisionError):
-                speed_at_height(a, b, n)
-        else:
-            assert speed_at_height(a, b, n) == wide[-1] - (wide[-2] if b > 1 else 0)
+
+    def test_speed_at_height_matches_triple_precision(self):
+        # speed_at_height sizes its own precision; 3x that resolves every height
+        rng = random.Random(1705)
+        for _ in range(300):
+            a = rng.randrange(2, 10 ** rng.randint(1, 20))
+            a += a % 10 == 0
+            b = rng.randint(1, 12)
+            wide = _frozen_table(a, b, 3 * speed_profile(a, b).precision_digits)
+            assert speed_at_height(a, b) == wide[-1] - (wide[-2] if b > 1 else 0), (a, b)
 
 
 def assert_settles_like_reference(a, start=64, reference_start=None):
@@ -292,11 +289,14 @@ class TestReferenceProfile:
             assert reference_profile.frozen_counts(a, 6) == _frozen_table(a, 6, 6 * (c + 1))
 
     def test_certified_lines_on_every_base_to_3000(self):
-        # V and nu(1..8) on the lines read at heights 1-4, against the lemma
+        # V and nu(1..8) on the lines read at heights 1-4, and V(a, 1 + a % 8),
+        # against the lemma
         for a in range(2, 3001):
             if a % 10:
                 v, lines, _ = _certify(a, 40)
                 lined = [_line_nu(a, lines, b) for b in range(1, 9)]
                 ref = reference_profile.frozen_lines(a, 8)
-                assert lined == [min(pair) for pair in zip(*ref)], a
+                nus, b = [min(pair) for pair in zip(*ref)], 1 + a % 8
+                assert lined == nus, a
                 assert v == min(r[7] - r[6] for p, r in zip((2, 5), ref) if a % p), a
+                assert speed_at_height(a, b) == nus[b - 1] - (nus[b - 2] if b > 1 else 0), a
