@@ -3,9 +3,10 @@
 Big integers are always serialized as decimal strings in JSON so output
 survives any consumer.  Every failure prints one `error:` line to stderr
 and exits with 1 (precision or search budget exhausted), 2 (usage error,
-including a base divisible by 10) or 3 (verification failure: a fixture,
-formula or oracle-certificate mismatch, or a torn, mistyped or failing `q`
-cache line).  The oracle picks and grows its own precision, so no command
+including a base divisible by 10 and a `q` cache path that cannot be read
+or appended to) or 3 (verification failure: a fixture, formula or
+oracle-certificate mismatch, or a torn, undecodable, mistyped or failing
+`q` cache line).  The oracle picks and grows its own precision, so no command
 takes one.  `main` may be called many times in one process: it builds the
 parser once and shares it between calls.
 """
@@ -13,6 +14,7 @@ parser once and shares it between calls.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -92,16 +94,26 @@ class CacheError(RuntimeError):
     """A `q` cache line is unreadable or its record fails verification."""
 
 
+@contextlib.contextmanager
+def _cache_file(path: str, mode: str):
+    """The `q` cache opened in binary `mode`; a path that cannot be used is a usage error."""
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except OSError as exc:
+        raise ValueError(f"cannot use cache {path}: {exc.strerror}") from exc
+
+
 def _load_cache(path: str) -> dict:
     cache = {}
     if not path or not os.path.exists(path):
         return cache
-    with open(path, "r", encoding="utf-8") as fh:
+    with _cache_file(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
                 n, q, method, checked = (obj[k] for k in ("n", "q", "method", "oracle_checked"))
                 q = int(q) if isinstance(q, str) and q.isascii() and q.isdecimal() else q
@@ -109,23 +121,31 @@ def _load_cache(path: str) -> dict:
                 typed = (type(n), type(q), type(checked)) == (int, int, bool)
                 if not typed or method != primes.primality_method(q):
                     raise ValueError("mistyped field, or a method that is not q's")
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError included
                 raise CacheError(f"{path}:{lineno}: unreadable cache line") from exc
             cache[n] = PrimeSpeedRecord(n, q, method, checked)
     return cache
 
 
 def _append_cache(path: str, rec: PrimeSpeedRecord) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(_record_dict(rec)) + "\n")
+    with _cache_file(path, "ab") as fh:
+        fh.write(json.dumps(_record_dict(rec)).encode() + b"\n")
         fh.flush()
+
+
+@functools.lru_cache(maxsize=1024)
+def _verified(n: int, q: int) -> bool:
+    """Whether q is a prime of speed n; a pure function, so tested once per process."""
+    return primes.is_prime(q) and classes.speed_by_formula(q) == n
 
 
 def _resolver(cache_path: str | None, budget: int | None):
     """n -> PrimeSpeedRecord over one read of the cache.
 
-    A cached record is verified, not recomputed, the first time it is
-    asked for; a miss is searched for and appended to the cache.
+    Every call reads and checks every line of the cache.  A cached record
+    is verified, not recomputed, through `_verified`, which tests each
+    (n, q) once per process and then serves the verdict, a failing one too;
+    a miss is searched for and appended to the cache.
     """
     cache = _load_cache(cache_path) if cache_path else {}
     resolved = {}
@@ -137,7 +157,7 @@ def _resolver(cache_path: str | None, budget: int | None):
                 rec = primes.smallest_prime_with_speed(n, budget=budget)
                 if cache_path:
                     _append_cache(cache_path, rec)
-            elif not primes.is_prime(rec.q) or classes.speed_by_formula(rec.q) != n:
+            elif not _verified(n, rec.q):
                 raise CacheError(f"{cache_path}: cache entry for n = {n} fails verification")
             resolved[n] = rec
         return resolved[n]

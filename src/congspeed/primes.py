@@ -91,7 +91,13 @@ def _jacobi(a: int, n: int) -> int:
 
 
 def _strong_lucas_prp(n: int) -> bool:
-    """Strong Lucas test with Selfridge parameter selection."""
+    """Strong Lucas test with Selfridge parameter selection, on V alone.
+
+    A ladder of V_2k = V_k^2 - 2Q^k and V_(2k+1) = V_k V_(k+1) - Q^k (P = 1)
+    reaches V_t and V_(t+1) for t, the odd part of n + 1, with no U and no
+    halving.  D U_t = 2 V_(t+1) - V_t, and jacobi(D, n) = -1 makes D a unit
+    mod n, so U_t = 0 (mod n) exactly when 2 V_(t+1) = V_t (mod n).
+    """
     if math.isqrt(n) ** 2 == n:
         return False
     d = 5
@@ -102,19 +108,19 @@ def _strong_lucas_prp(n: int) -> bool:
         if j == 0 and abs(d) != n:
             return False
         d = -(d + 2) if d > 0 else -(d - 2)
-    q = (1 - d) // 4  # and P = 1
+    q = (1 - d) // 4
     s = arith.valuation(2, n + 1)
     t = (n + 1) >> s
-    u, v, qk = 1, 1, q % n
+    v, w, qk = 1, (1 - 2 * q) % n, q % n  # V_1, V_2, Q^1
     for bit in bin(t)[3:]:
-        u, v = u * v % n, (v * v - 2 * qk) % n
-        qk = qk * qk % n
-        if bit == "1":  # (U, V) -> ((U + V) / 2, (D*U + V) / 2); n is odd, so add n to halve
-            u, v = u + v, d * u + v
-            u, v = (u + n * (u & 1)) >> 1, (v + n * (v & 1)) >> 1
-            qk = qk * q % n
-    u, v = u % n, v % n
-    if u == 0 or v == 0:
+        if bit == "1":  # k -> 2k + 1
+            qk1 = qk * q  # Q^(k+1)
+            v, w = (v * w - qk) % n, (w * w - 2 * qk1) % n
+            qk = qk * qk1 % n
+        else:  # k -> 2k
+            v, w = (v * v - 2 * qk) % n, (v * w - qk) % n
+            qk = qk * qk % n
+    if v == 0 or (2 * w - v) % n == 0:
         return True
     for _ in range(s - 1):
         v = (v * v - 2 * qk) % n

@@ -17,6 +17,12 @@ def run(capsys, *argv):
     return code, out
 
 
+@pytest.fixture(autouse=True)
+def fresh_verdicts():
+    """No test inherits a cached record's verdict from another test."""
+    cli._verified.cache_clear()
+
+
 class TestBareValues:
     def test_min_base(self, capsys):
         assert run(capsys, "min-base", "4") == (0, "15\n")
@@ -277,6 +283,9 @@ class TestOeis:
         assert exc.value.code == 2
 
 
+RECORD_3 = '{{"n": 3, "q": "{q}", "method": "deterministic-small", "oracle_checked": true}}\n'
+
+
 class TestCache:
     def test_cache_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "q.jsonl"
@@ -340,6 +349,50 @@ class TestCache:
         path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}\n")
         assert cli.main(["q", "3", "--cache", str(path)]) == 3
         assert capsys.readouterr().err == f"error: {path}:1: unreadable cache line\n"
+
+    def test_failing_record_is_3_on_every_call(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "q.jsonl"
+        path.write_text(RECORD_3.format(q=90751))
+        argv = ["q", "3", "--cache", str(path)]
+        assert cli.main(argv) == 3
+        tests = _counting(monkeypatch, primes, "is_prime")
+        assert cli.main(argv) == 3  # the memoised False, not a fresh test
+        assert tests == []
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: cache entry for n = 3 fails verification"] * 2
+
+    def test_rewritten_record_is_verified_afresh(self, capsys, tmp_path):
+        # The verdict is keyed on (n, q): a new q for the same n is tested again.
+        path = tmp_path / "q.jsonl"
+        path.write_text(RECORD_3.format(q=193))
+        assert run(capsys, "q", "3", "--cache", str(path)) == (0, "193\n")
+        path.write_text(RECORD_3.format(q=90751))
+        assert cli.main(["q", "3", "--cache", str(path)]) == 3
+        assert "fails verification" in capsys.readouterr().err
+
+    def test_formula_mismatch_is_raised_on_every_call(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "q.jsonl"
+        path.write_text(RECORD_3.format(q=193))
+        monkeypatch.setattr(classes, "_formula_value", lambda a: 5)
+        for _ in range(2):
+            assert cli.main(["q", "3", "--cache", str(path)]) == 3
+            assert capsys.readouterr().err.startswith("error: valuation formula gives V(193) = 5")
+
+    def test_missing_directory_is_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "q.jsonl"
+        assert cli.main(["q", "3", "--cache", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot use cache {path}: No such file or directory\n")
+
+    def test_directory_is_2(self, capsys, tmp_path):
+        assert cli.main(["q", "3", "--cache", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: cannot use cache {tmp_path}: Is a directory\n"
+
+    def test_undecodable_line_is_3(self, capsys, tmp_path):
+        path = tmp_path / "q.jsonl"
+        path.write_bytes(RECORD_3.format(q=193).encode() + b'{"n": 5, "q": "\xff"}\n')
+        assert cli.main(["q", "3", "--cache", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {path}:2: unreadable cache line\n"
 
     def test_integer_q_is_served(self, capsys, tmp_path):
         path = tmp_path / "q.jsonl"
@@ -542,3 +595,14 @@ class TestWorkCounts:
         assert marked == ["20", "51", "54"]
         assert run(capsys, *argv) == (0, cold)
         assert len(calls) == 2
+
+    def test_second_warm_table2_runs_no_primality_test(self, capsys, monkeypatch, tmp_path):
+        argv = ["table2", "--max", "21", "--extra", "51,52,53,54",
+                "--cache", str(tmp_path / "q.jsonl")]
+        code, cold = run(capsys, *argv)
+        assert code == 0  # every record was searched, so none was verified yet
+        tests = _counting(monkeypatch, primes, "is_prime")
+        assert run(capsys, *argv) == (0, cold)
+        assert len(tests) == 26  # q_1..q_21, q_51..q_54 and q_50 for the flag on 51
+        assert run(capsys, *argv) == (0, cold)
+        assert len(tests) == 26

@@ -126,7 +126,11 @@ class TestIsPrime:
             assert not is_prime(x), x
 
     def test_strong_lucas_against_reference(self):
-        for n in range(3, 300_000, 2):
+        # Every odd n below 300,000, then 20,000 seeded odd n of 2 to 120 digits.
+        rng = random.Random(2208)
+        seeded = (rng.randrange(10 ** (k - 1), 10**k) | 1
+                  for k in (rng.randrange(2, 121) for _ in range(20_000)))
+        for n in itertools.chain(range(3, 300_000, 2), seeded):
             if math.isqrt(n) ** 2 != n:
                 got = primes._strong_lucas_prp(n)
                 assert got == reference_primality._strong_lucas_prp(n), n
