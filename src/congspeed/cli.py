@@ -127,10 +127,9 @@ def _load_cache(path: str) -> dict:
     return cache
 
 
-def _append_cache(path: str, rec: PrimeSpeedRecord) -> None:
-    with _cache_file(path, "ab") as fh:
-        fh.write(json.dumps(_record_dict(rec)).encode() + b"\n")
-        fh.flush()
+def _append_cache(fh, rec: PrimeSpeedRecord) -> None:
+    fh.write(json.dumps(_record_dict(rec)).encode() + b"\n")
+    fh.flush()
 
 
 @functools.lru_cache(maxsize=1024)
@@ -144,8 +143,9 @@ def _resolver(cache_path: str | None, budget: int | None):
 
     Every call reads and checks every line of the cache.  A cached record
     is verified, not recomputed, through `_verified`, which tests each
-    (n, q) once per process and then serves the verdict, a failing one too;
-    a miss is searched for and appended to the cache.
+    (n, q) once per process and then serves the verdict, a failing one too.
+    A miss opens the cache for append before it is searched for, so a path
+    that cannot take the record fails before the search, not after it.
     """
     cache = _load_cache(cache_path) if cache_path else {}
     resolved = {}
@@ -154,9 +154,11 @@ def _resolver(cache_path: str | None, budget: int | None):
         if n not in resolved:
             rec = cache.get(n)
             if rec is None:
-                rec = primes.smallest_prime_with_speed(n, budget=budget)
-                if cache_path:
-                    _append_cache(cache_path, rec)
+                sink = _cache_file(cache_path, "ab") if cache_path else contextlib.nullcontext()
+                with sink as fh:
+                    rec = primes.smallest_prime_with_speed(n, budget=budget)
+                    if fh is not None:
+                        _append_cache(fh, rec)
             elif not _verified(n, rec.q):
                 raise CacheError(f"{cache_path}: cache entry for n = {n} fails verification")
             resolved[n] = rec

@@ -4,8 +4,9 @@ nontrivial roots of y^5 = y.
 The two generators are h(n) = 5^(2^n) mod 10^n and r(n) = 2^(5^n) mod 10^n.
 h is idempotent; r is the Teichmueller-style lift of 2 on the 5-adic side,
 with r^2 + 1 = h and r^4 = 1 - h modulo 10^n.  Every nontrivial root of
-y^5 = y modulo 10^n is a small signed combination of 1, h and r.  r costs
-far more than h, so only the six roots that use it compute it.
+y^5 = y modulo 10^n is a small signed combination of 1, h and r.  h is one
+modular inverse and r about log2(n) Newton steps on y^4 = 1, of like cost;
+only the six roots that use r compute it.
 """
 
 from __future__ import annotations
@@ -64,9 +65,15 @@ def _h(n: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _r(n: int) -> int:
-    # 0 mod 2^n and, since 2 has order 4 * 5^(n-1) mod 5^n, 2^(5^(n-1)) mod 5^n;
-    # 1 - h carries that residue over to mod 10^n.
-    return pow(2, 5 ** (n - 1), 5**n) * (1 - _h(n)) % (10**n)
+    # 0 mod 2^n and, mod 5^n, 2^(5^(n-1)): the one root of y^4 = 1 that is 2 mod 5.
+    # A Newton step y <- y - (y^4 - 1) y / 4 (y for 1/y^3, as y^4 = 1 so far) doubles
+    # the power of 5 that y is exact to; 1 - h carries y over to mod 10^n.
+    y, k = 2, 1
+    while k < n:
+        k = min(2 * k, n)
+        m = 5**k
+        y = (y - (pow(y, 4, m) - 1) * y * pow(4, -1, m)) % m
+    return y * (1 - _h(n)) % (10**n)
 
 
 def idempotents(n: int) -> IdempotentPair:

@@ -4,10 +4,11 @@ For every target speed n >= 2 the residue classes 1, 3, 7 and 9 are merged
 in ascending order and tested for primality; the first hit is the record
 holder.  The even classes and class 5 hold no prime except 5 itself
 (V(5) = 2), so they are never enumerated.  A candidate above _SIEVE_BOUND
-that shares a factor with the primorial of the primes up to that bound is
-struck by one gcd before the primality test runs; it still counts as
-examined.  Every verdict is Baillie-PSW: a strong base-2 round, then a strong
-Lucas test.  Feitsma and Galway listed every base-2 strong pseudoprime below
+with a prime factor up to that bound is struck, by a gcd with the product
+of the primes up to isqrt(_SIEVE_BOUND) or else one with the product of the
+rest, before the primality test runs; it still counts as examined.  Every
+verdict is Baillie-PSW: a strong base-2 round, then a strong Lucas test on a
+Q = 1 sequence.  Feitsma and Galway listed every base-2 strong pseudoprime below
 2^64 and none passes the Lucas test, so only larger verdicts are "probabilistic".
 """
 
@@ -91,12 +92,15 @@ def _jacobi(a: int, n: int) -> int:
 
 
 def _strong_lucas_prp(n: int) -> bool:
-    """Strong Lucas test with Selfridge parameter selection, on V alone.
+    """Strong Lucas test with Selfridge parameter selection, on a Q = 1 sequence.
 
-    A ladder of V_2k = V_k^2 - 2Q^k and V_(2k+1) = V_k V_(k+1) - Q^k (P = 1)
-    reaches V_t and V_(t+1) for t, the odd part of n + 1, with no U and no
-    halving.  D U_t = 2 V_(t+1) - V_t, and jacobi(D, n) = -1 makes D a unit
-    mod n, so U_t = 0 (mod n) exactly when 2 V_(t+1) = V_t (mod n).
+    With alpha, beta the roots of x^2 - x + Q and gamma = alpha / beta,
+    W_k = gamma^k + gamma^-k is V_k(P', 1) for P' = (1 - 2Q) / Q mod n: two
+    products per bit, no power of Q.  Q is a unit, as a prime p dividing Q and
+    n has D = 1 (mod p) and |D| > 3p, so n failed at D = +-p or 9 (Jacobi 0).
+    gamma - 1/gamma = sqrt(D) / Q is a unit too, so for t, the odd part of
+    n + 1, U_t = 0 iff (W_t, W_(t+1)) = (2, P') and V_t = 0 iff it is (-2, -P');
+    and V_(2m) = Q^m W_m, so V_(t 2^r) = 0 iff W_(t 2^(r-1)) = 0.
     """
     if math.isqrt(n) ** 2 == n:
         return False
@@ -109,24 +113,21 @@ def _strong_lucas_prp(n: int) -> bool:
             return False
         d = -(d + 2) if d > 0 else -(d - 2)
     q = (1 - d) // 4
+    p = (1 - 2 * q) * pow(q, -1, n) % n
     s = arith.valuation(2, n + 1)
     t = (n + 1) >> s
-    v, w, qk = 1, (1 - 2 * q) % n, q % n  # V_1, V_2, Q^1
+    v, w = p, (p * p - 2) % n  # W_1, W_2
     for bit in bin(t)[3:]:
         if bit == "1":  # k -> 2k + 1
-            qk1 = qk * q  # Q^(k+1)
-            v, w = (v * w - qk) % n, (w * w - 2 * qk1) % n
-            qk = qk * qk1 % n
+            v, w = (v * w - p) % n, (w * w - 2) % n
         else:  # k -> 2k
-            v, w = (v * v - 2 * qk) % n, (v * w - qk) % n
-            qk = qk * qk % n
-    if v == 0 or (2 * w - v) % n == 0:
+            v, w = (v * v - 2) % n, (v * w - p) % n
+    if (v, w) in ((2 % n, p), (-2 % n, -p % n)):
         return True
     for _ in range(s - 1):
-        v = (v * v - 2 * qk) % n
         if v == 0:
             return True
-        qk = qk * qk % n
+        v = (v * v - 2) % n
     return False
 
 
@@ -160,12 +161,14 @@ def repnine_speed(k: int, n: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _primorial() -> int:
-    """Product of the primes up to _SIEVE_BOUND, built on the first search."""
+def _primorials() -> tuple[int, int]:
+    """Products of the primes up to isqrt(_SIEVE_BOUND) and of the rest up to the bound."""
+    root = math.isqrt(_SIEVE_BOUND)
     sieve = bytearray([1]) * (_SIEVE_BOUND + 1)
-    for p in range(2, math.isqrt(_SIEVE_BOUND) + 1):
+    for p in range(2, root + 1):
         sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
-    return math.prod(p for p in range(2, _SIEVE_BOUND + 1) if sieve[p])
+    return (math.prod(p for p in range(2, root + 1) if sieve[p]),
+            math.prod(p for p in range(root + 1, _SIEVE_BOUND + 1) if sieve[p]))
 
 
 def speed_candidates(n: int) -> Iterator[int]:
@@ -194,7 +197,7 @@ def smallest_prime_with_speed(
             raise SearchBudgetError(n, examined, last)
         examined += 1
         last = cand
-        if cand > _SIEVE_BOUND and math.gcd(cand, _primorial()) != 1:
+        if cand > _SIEVE_BOUND and any(math.gcd(cand, p) != 1 for p in _primorials()):
             continue
         if is_prime(cand):
             if classes.speed_by_formula(cand) != n:  # pragma: no cover

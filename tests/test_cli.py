@@ -384,6 +384,25 @@ class TestCache:
         assert capsys.readouterr().err == (
             f"error: cannot use cache {path}: No such file or directory\n")
 
+    def test_missing_directory_fails_before_the_search(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "missing" / "q.jsonl"
+        searches = _counting(monkeypatch, primes, "smallest_prime_with_speed")
+        assert cli.main(["q", "400", "--cache", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert searches == []
+
+    def test_cache_is_opened_for_append_once_per_miss(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "q.jsonl"
+        path.write_text(RECORD_3.format(q=193))
+        opens = _counting(monkeypatch, cli, "_cache_file")
+        assert run(capsys, "q", "3", "--cache", str(path)) == (0, "193\n")
+        assert [mode for _, mode in opens] == ["rb"]  # served: never opened to write
+        opens.clear()
+        assert cli.main(["table2", "--max", "5", "--cache", str(path)]) == 0
+        assert [mode for _, mode in opens] == ["rb"] + ["ab"] * 4  # misses 1, 2, 4, 5
+        assert [json.loads(line)["n"] for line in path.read_text().splitlines()] == [3, 1, 2, 4, 5]
+
     def test_directory_is_2(self, capsys, tmp_path):
         assert cli.main(["q", "3", "--cache", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: cannot use cache {tmp_path}: Is a directory\n"

@@ -28,6 +28,8 @@ class TestIdempotents:
     def test_against_plain_pow(self):
         for n in range(1, 301):
             assert idempotents(n).h == pow(5, 2**n, 10**n)
+        # r up to 401 covers every class_spec that `q 150` to `q 399` builds.
+        for n in range(1, 402):
             assert idempotents(n).r == pow(2, 5**n, 10**n)
 
     def test_ring_identities(self):
@@ -102,7 +104,7 @@ class TestRoots:
         assert DecadicResidue(13, 5000, 10**5000 - 1).digits == (9,) * 5000
 
     def test_h_only_roots_never_evaluate_r(self, monkeypatch):
-        # r(n) is one power modulo 5^n with a 5^(n-1) exponent; h is one inverse.
+        # r(n) takes about log2(n) Newton steps modulo powers of 5; h is one inverse.
         calls = []
         r = decadic._r
         monkeypatch.setattr(decadic, "_r", lambda n: calls.append(n) or r(n))

@@ -135,11 +135,32 @@ class TestIsPrime:
                 got = primes._strong_lucas_prp(n)
                 assert got == reference_primality._strong_lucas_prp(n), n
 
-    @pytest.mark.parametrize("n", [5459, 5777])
+    # The first 12 strong Lucas pseudoprimes (OEIS A217255).
+    @pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971, 22499,
+                                   24569, 25199, 40309, 58519, 75077, 97439])
     def test_strong_lucas_pseudoprimes(self, n):
         # Composites that pass the strong Lucas test; the base-2 round rejects them.
         assert primes._strong_lucas_prp(n) and reference_primality._strong_lucas_prp(n)
         assert not primes._miller_rabin_round(n) and not is_prime(n)
+
+    def test_selfridge_q_is_a_unit(self):
+        # A prime p dividing n and Q = (1 - D) / 4 has D = 1 (mod p) and |D| > 3p,
+        # so the search for D meets p (or 9, for p = 3) first, where jacobi(D, n)
+        # is 0 and n fails: the Q = 1 ladder never needs the inverse of a non-unit.
+        # 27892309 = 59 * 472751, with no factor up to 53, runs the search to D = -59.
+        def selfridge(n):
+            d = 5
+            while reference_primality._jacobi(d, n) == 1:
+                d = -(d + 2) if d > 0 else -(d - 2)
+            return d, reference_primality._jacobi(d, n)
+
+        n = 27892309
+        assert selfridge(n) == (-59, 0) and all(n % p for p in primes._SMALL_PRIMES)
+        assert not primes._strong_lucas_prp(n) and not reference_primality._strong_lucas_prp(n)
+        assert not is_prime(n)
+        for n in range(55, 300_000, 2):
+            d, j = selfridge(n)
+            assert j == 0 or math.gcd((1 - d) // 4, n) == 1, n
 
 
 class TestRepnine:
@@ -285,10 +306,24 @@ class TestSearchEquivalence:
 
     def test_prefilter_spares_primes_below_its_bound(self):
         # Each of these primes divides the primorial, so only the bound
-        # keeps the gcd from striking it.
+        # keeps the gcds from striking it.
+        primorial = math.prod(primes._primorials())
         for n, q in ((2, 5), (3, 193), (4, 1249)):
-            assert q < primes._SIEVE_BOUND and math.gcd(q, primes._primorial()) == q
+            assert q < primes._SIEVE_BOUND and math.gcd(q, primorial) == q
             assert smallest_prime_with_speed(n, oracle_check=False).q == q
+
+    @pytest.mark.parametrize("n", [21, 51, 150, 275, 399])
+    def test_two_products_strike_what_one_primorial_strikes(self, monkeypatch, n):
+        flags = sieve_primality(primes._SIEVE_BOUND)
+        primorial = math.prod(p for p, prime in enumerate(flags) if prime)
+        assert math.prod(primes._primorials()) == primorial
+        first = list(itertools.islice(speed_candidates(n), 300))
+        tested = []
+        monkeypatch.setattr(primes, "is_prime", lambda x: tested.append(x) or False)
+        with pytest.raises(SearchBudgetError):
+            smallest_prime_with_speed(n, budget=300, oracle_check=False)
+        assert tested == [c for c in first
+                          if c <= primes._SIEVE_BOUND or math.gcd(c, primorial) == 1]
 
     @pytest.mark.parametrize("n", [156, 215, 309, 357, 386])
     def test_recorded_high_n(self, n):
