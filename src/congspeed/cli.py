@@ -148,21 +148,18 @@ def _resolver(cache_path: str | None, budget: int | None):
     that cannot take the record fails before the search, not after it.
     """
     cache = _load_cache(cache_path) if cache_path else {}
-    resolved = {}
 
     def resolve(n: int) -> PrimeSpeedRecord:
-        if n not in resolved:
-            rec = cache.get(n)
-            if rec is None:
-                sink = _cache_file(cache_path, "ab") if cache_path else contextlib.nullcontext()
-                with sink as fh:
-                    rec = primes.smallest_prime_with_speed(n, budget=budget)
-                    if fh is not None:
-                        _append_cache(fh, rec)
-            elif not _verified(n, rec.q):
-                raise CacheError(f"{cache_path}: cache entry for n = {n} fails verification")
-            resolved[n] = rec
-        return resolved[n]
+        rec = cache.get(n)
+        if rec is None:
+            sink = _cache_file(cache_path, "ab") if cache_path else contextlib.nullcontext()
+            with sink as fh:
+                rec = primes.smallest_prime_with_speed(n, budget=budget)
+                if fh is not None:
+                    _append_cache(fh, rec)
+        elif not _verified(n, rec.q):
+            raise CacheError(f"{cache_path}: cache entry for n = {n} fails verification")
+        return rec
 
     return resolve
 

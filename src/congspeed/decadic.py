@@ -5,8 +5,7 @@ The two generators are h(n) = 5^(2^n) mod 10^n and r(n) = 2^(5^n) mod 10^n.
 h is idempotent; r is the Teichmueller-style lift of 2 on the 5-adic side,
 with r^2 + 1 = h and r^4 = 1 - h modulo 10^n.  Every nontrivial root of
 y^5 = y modulo 10^n is a small signed combination of 1, h and r.  h is one
-modular inverse and r about log2(n) Newton steps on y^4 = 1, of like cost;
-only the six roots that use r compute it.
+modular inverse and r about log2(n) Newton steps on y^4 = 1, of like cost.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ def root_residue(i: int, n: int) -> DecadicResidue:
     if n < 1:
         raise ValueError("n must be >= 1")
     c, kh, kr = _ROOT_COEFFS[i]
-    value = (c + kh * _h(n) + (kr * _r(n) if kr else 0)) % 10**n
+    value = (c + kh * _h(n) + kr * _r(n)) % 10**n
     if value % 10 != ROOT_LAST_DIGIT[i]:  # pragma: no cover - structural guarantee
         raise AssertionError(f"root {i} truncation has wrong last digit")
     return DecadicResidue(i, n, value)

@@ -3,11 +3,11 @@
 The frozen-digit count nu(b) is the 10-adic valuation of ^(b+1)a - ^b a, and
 the speed at height b is nu(b) - nu(b-1) (nu(0) = 0).  nu(b) = min(t2(b),
 t5(b)), the 2- and 5-adic valuations of the same difference.  By the
-lifting-the-exponent lemma a side whose prime does not divide a is affine in
-b from height 2 and the other side grows like ^(b-1)a, so V(a) is the smaller
-slope of the affine sides; the oracle certifies this from its own tower
-residues at heights 1-4 (_certify).  The residues are exact modulo 10^N (the
-Carmichael-chain clamp is an identity), so every valuation below N is true.
+lifting-the-exponent lemma a side t_p with p not dividing a is affine in b
+from height 2 and at most (b + 1) nu_p(a^4 - 1), and the other side grows
+like ^(b-1)a, so V(a) is the smaller slope of the affine sides.  The oracle
+certifies this from its tower residues at heights 1-4, exact modulo 10^N so
+that every valuation below N is true, and sizes its one retry by the bound.
 """
 
 from __future__ import annotations
@@ -119,17 +119,6 @@ def _line_nu(a: int, lines: list, b: int) -> int:
     return min(t[3] + (b - 4) * (t[3] - t[2]) for p, t in zip((2, 5), lines) if a % p)
 
 
-def _slope_line(t: list, digits: int) -> list | None:
-    """t(1..4) of an affine side that reads `digits` or more from height k + 1
-    on: the line through heights k - 1 and k if they rise (a rise is the
-    lemma's one slope) and it reaches `digits` at k + 1, else None."""
-    k = t.index(None)
-    if k < 2 or t[k - 2] >= t[k - 1]:
-        return None
-    line = t[:k] + [t[k - 1] + (b - k + 1) * (t[k - 1] - t[k - 2]) for b in range(k, 4)]
-    return line if line[k] >= digits else None
-
-
 def _certify(a: int, digits: int, b_max: int = 4) -> tuple[int, list, list]:
     """(V, lines, nus) for a > 1: V(a), the lines t2, t5 at heights 1-4 that
     certify it, and nu(1..) off the last table read.
@@ -138,26 +127,28 @@ def _certify(a: int, digits: int, b_max: int = 4) -> tuple[int, list, list]:
     5-side needs t2(2) >= 2 so that ord_5(a) divides every later exponent
     gap.  A divisible side must grow at least a-fold per height, as ^(b-1)a
     does, and lie above the other side at height 4, so it stays above.
-    Reads at heights 1-4 stay below 5 bit_length(a) digits (lemma), so an
-    open affine side retries once: at the digits its slope line puts on
-    t(4), b_max heights tall and wide enough for nu(b_max) on the lines, or
-    with no line at that bound; past it the side cannot be certified.
+    An open affine side retries once, max(b_max, 4) heights tall, at digits
+    above t_p(4) of every open side and above nu(b_max) by the LTE bound
+    t_p(b) <= (b + 1) nu_p(a^4 - 1), p not dividing a.  Proof: ^(b+1)a - ^b a
+    is a p-unit times a^E - 1, E = ^b a - ^(b-1)a, nu_p(E) = t_p(b-1), where
+    t_p(0) = nu_p(a - 1) <= nu_p(a^4 - 1); by LTE t5(b) is 0 or nu5(a^4 - 1)
+    + t5(b-1), and, E being even, t2(b) = nu2(a^2 - 1) - 1 + t2(b-1).  The
+    bound only sizes the retry: every line is still read off towers and
+    certified, so a bound too small raises PrecisionError, never a wrong V.
     """
-    limit, heights = 5 * a.bit_length() + 1, 4
+    heights = 4
     for retry in (False, True):
         reads = _side_reads(a, heights, digits)
         lines = [t[:4] for t in reads]
         unread = [p for p, t in zip((2, 5), lines) if a % p and None in t]
         if not unread:
             break
-        if retry or digits >= limit:
+        heights = max(b_max, 4)
+        lte = {p: arith.valuation(p, a**4 - 1) for p in (2, 5) if a % p}
+        need = 1 + max(5 * max(lte[p] for p in unread), (heights + 1) * min(lte.values()))
+        if retry or need <= digits:
             raise PrecisionError(f"cannot certify the speed of {a} from {digits} digits")
-        sized = [_slope_line(t, digits) if p in unread else t for p, t in zip((2, 5), lines)]
-        if None in sized:
-            digits = limit
-        else:
-            need = min(limit, max(t[3] for p, t in zip((2, 5), sized) if a % p) + 1)
-            digits, heights = max(need, _line_nu(a, sized, b_max) + 1), max(b_max, 4)
+        digits = need
     ok = a % 5 == 0 or lines[0][1] is None or lines[0][1] >= 2
     for p, t, other in zip((2, 5), lines, lines[::-1]):
         low = [digits if x is None else x for x in t]
@@ -184,10 +175,10 @@ def speed_profile(a: int, b_max: int | None = None) -> SpeedProfile:
     """Per-height table of frozen digits and speeds up to b_max.
 
     b_max defaults to stabilization_floor(a).  The oracle picks its own
-    precision: nu(1..b_max) is read off the last table _certify built, or
-    one more at the digits the lines predict for height b_max, and must
-    equal the lines (else CertificateMismatch).  The reported precision is
-    the smallest doubling of 64 that resolves every height.
+    precision: nu(1..b_max) is read off the last table _certify built (an
+    LTE-sized retry covers them) or one more at the digits the lines predict
+    for b_max, and must equal the lines (else CertificateMismatch).  The
+    precision reported is the least doubling of 64 resolving every height.
     """
     base = TetrationBase.from_int(a)
     if b_max is None:

@@ -598,6 +598,7 @@ class TestWorkCounts:
         assert speed.constant_speed(q150) == 150
         assert len(calls) <= 2
         assert max(b_max for _, b_max, _ in calls) <= 5
+        assert max(digits for _, _, digits in calls) <= 761  # 5 nu_2(q^4 - 1) + 1
 
     def test_q20_oracle_check_builds_at_most_two_tables(self, monkeypatch):
         calls = _counting(monkeypatch, arith, "tower_residues")

@@ -103,19 +103,6 @@ class TestRoots:
         # Root 13 is -1, so every digit is 9; one int-to-str of 5,000 digits raises.
         assert DecadicResidue(13, 5000, 10**5000 - 1).digits == (9,) * 5000
 
-    def test_h_only_roots_never_evaluate_r(self, monkeypatch):
-        # r(n) takes about log2(n) Newton steps modulo powers of 5; h is one inverse.
-        calls = []
-        r = decadic._r
-        monkeypatch.setattr(decadic, "_r", lambda n: calls.append(n) or r(n))
-        decadic.root_residue.cache_clear()
-        for i in (1, 5, 6, 7, 8, 12, 13):
-            decadic.root_residue(i, 3001)
-        assert calls == []
-        for i in (2, 3, 4, 9, 10, 11):
-            decadic.root_residue(i, 31)
-        assert calls == [31] * 6
-
     def test_unit_root_alternative_form(self):
         # root 1 = 1 - 2h = 2 r^4 - 1 = 2^(4*5^n + 1) - 1, since r^4 = 1 - h
         for n in range(1, 51):

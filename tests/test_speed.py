@@ -8,11 +8,13 @@ import reference_profile
 import reference_settle
 from congspeed import arith
 from congspeed.classes import class_spec
+from congspeed.decadic import root_residue
 from congspeed.speed import (
     _certify,
     _frozen_table,
     _line_nu,
     constant_speed,
+    PrecisionError,
     speed_at_height,
     speed_profile,
     stabilization_floor,
@@ -80,6 +82,17 @@ class TestConstantSpeed:
     def test_anomalous_base_runs_high_before_settling(self):
         assert [speed_at_height(807, b) for b in range(2, 6)] == [4, 4, 4, 4]
         assert constant_speed(807) == 3
+
+    def test_lowered_retry_bound_raises_precision_error(self, monkeypatch):
+        # t5(4) = 65 leaves the 5-side open at 64 digits; with nu_5(a^4 - 1) = 13
+        # lowered to 12 the retry would be sized at 61 digits, no more than 64
+        a = 163574218751
+        nu = arith.valuation
+        monkeypatch.setattr(arith, "valuation", lambda p, x: nu(p, x) - (x == a**4 - 1))
+        with pytest.raises(PrecisionError, match="from 64 digits"):
+            constant_speed(a)
+        # a bound too small costs a table, never a wrong count
+        assert speed_profile(a, 15).frozen_counts == reference_profile.frozen_counts(a, 15)
 
 
 class TestSpeedProfile:
@@ -287,6 +300,25 @@ class TestReferenceProfile:
         for a, c in ((807, 3), (407922943, 8), (31666295807, 10), (81666295807, 11)):
             assert constant_speed(a) == c
             assert reference_profile.frozen_counts(a, 6) == _frozen_table(a, 6, 6 * (c + 1))
+
+    def test_retried_sides_stay_under_the_lte_bound(self):
+        # Bases near a root of y^5 = y leave affine sides open at 64 digits;
+        # _certify sizes their one retry by t_p(b) <= (b + 1) nu_p(a^4 - 1).
+        rng = random.Random(20)
+        retried = tight = 0
+        for _ in range(300):
+            m = rng.randint(12, 60)
+            a = root_residue(rng.randint(1, 13), m).value + rng.randrange(1, 10**m) * 10**m
+            ref = reference_profile.frozen_lines(a, 4)
+            certified = _certify(a, 64)[1]
+            for p, t, read in zip((2, 5), ref, certified):
+                if a % p and max(t) >= 64:
+                    nu = arith.valuation(p, a**4 - 1)
+                    assert all(t[b - 1] <= (b + 1) * nu for b in range(1, 5)), (a, p)
+                    assert read == t, (a, p)
+                    retried += 1
+                    tight += t[3] == 5 * nu
+        assert retried > 300 and tight > 0  # the bound is met with equality
 
     def test_certified_lines_on_every_base_to_3000(self):
         # V and nu(1..8) on the lines read at heights 1-4, and V(a, 1 + a % 8),
