@@ -52,6 +52,35 @@ def digit_length(a: int) -> int:
     return d
 
 
+# CPython refuses one int-str conversion past 4,300 digits; to_decimal and
+# decimal convert 1,000 digits at a time and change no process-wide setting.
+# A constant: CPython does not fold 10**1000, and printing a table pays for it.
+_BLOCK = 10**1000
+
+
+def to_decimal(x: int) -> str:
+    """x in decimal, at any length."""
+    if x < 0:
+        return "-" + to_decimal(-x)
+    blocks = []
+    while x >= _BLOCK:
+        x, block = divmod(x, _BLOCK)
+        blocks.append(f"{block:01000d}")
+    return str(x) + "".join(reversed(blocks))
+
+
+def decimal(text: str) -> int:
+    """The int that text writes as an optional sign and ASCII digits, at any length."""
+    body = text.strip()
+    digits = body.lstrip("+-")
+    if len(body) - len(digits) > 1 or not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid decimal integer: {text!r}")
+    value = 0
+    for i in range(0, len(digits), 1000):
+        value = value * 10 ** len(digits[i : i + 1000]) + int(digits[i : i + 1000])
+    return -value if body[0] == "-" else value
+
+
 def _lambda_exponents(i: int, j: int) -> tuple[int, int]:
     """Exponents of lambda(2^i * 5^j) = lcm(lambda(2^i), lambda(5^j)) as 2^i' * 5^j'."""
     if i <= 1:

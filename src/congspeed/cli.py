@@ -1,13 +1,15 @@
 """Command-line front end; `--output` picks text, JSON or CSV for every command.
 
 Big integers are always serialized as decimal strings in JSON so output
-survives any consumer.  Every failure prints one `error:` line to stderr
-and exits with 1 (precision or search budget exhausted), 2 (usage error,
-including a base divisible by 10 and a `q` cache path that cannot be read
-or appended to) or 3 (verification failure: a fixture, formula or
-oracle-certificate mismatch, or a torn, undecodable, mistyped or failing
-`q` cache line).  The oracle picks and grows its own precision, so no command
-takes one.  `main` may be called many times in one process: it builds the
+survives any consumer; bases are read and integers printed at any length,
+past CPython's 4,300-digit conversion limit.  Every failure prints one
+`error:` line to stderr and exits with 1 (precision or search budget
+exhausted), 2 (usage error, including a base divisible by 10, the empty
+class 5 at speed 1 and a `q` cache path that cannot be read or appended to)
+or 3 (verification failure: a fixture, formula or oracle-certificate
+mismatch, or a torn, undecodable, mistyped or failing `q` cache line).  The
+oracle sizes every table from the LTE bound, so no command takes a
+precision.  `main` may be called many times in one process: it builds the
 parser once and shares it between calls.
 """
 
@@ -23,6 +25,7 @@ import sys
 from typing import NamedTuple
 
 from . import classes, decadic, primes, verify
+from .arith import decimal, to_decimal
 from .primes import PrimeSpeedRecord
 from .speed import (
     CertificateMismatch,
@@ -48,16 +51,21 @@ class Output(NamedTuple):
     code: int = EXIT_OK
 
 
+def _text(v) -> str:
+    """A CSV cell or text line; an int of any length prints in decimal."""
+    return "" if v is None else to_decimal(v) if type(v) is int else str(v)
+
+
 def _write(out: Output, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(out.payload))
     elif fmt == "csv":
         print(",".join(out.header))
         for row in out.rows:
-            print(",".join("" if v is None else str(v) for v in row))
+            print(",".join(map(_text, row)))
     else:
         for line in out.lines:
-            print(line)
+            print(_text(line))
 
 
 def _at_least(low: int):
@@ -84,7 +92,7 @@ _speeds.__name__ = "speed list"  # argparse names the type when int() rejects an
 def _record_dict(rec: PrimeSpeedRecord) -> dict:
     return {
         "n": rec.n,
-        "q": str(rec.q),
+        "q": to_decimal(rec.q),
         "method": rec.method,
         "oracle_checked": rec.oracle_checked,
     }
@@ -173,14 +181,14 @@ def _cmd_speed(args) -> Output:
         profile = speed_profile(a)
         v = profile.constant_speed
         heights = [[e.height, e.speed] for e in profile.entries]
-    return Output({"a": str(a), "V": v, "heights": heights}, ["a", "V"], [[a, v]], [v])
+    return Output({"a": to_decimal(a), "V": v, "heights": heights}, ["a", "V"], [[a, v]], [v])
 
 
 def _cmd_profile(args) -> Output:
     profile = speed_profile(args.a, args.max_height)
     rows = [[e.height, e.frozen, e.speed] for e in profile.entries]
     payload = {
-        "a": str(args.a),
+        "a": to_decimal(args.a),
         "precision": profile.precision_digits,
         "entries": rows,
         "V": profile.constant_speed,
@@ -198,19 +206,21 @@ def _cmd_min_base(args) -> Output:
         value = classes.min_base_class(args.s1, args.n)
     else:
         value = classes.min_base(args.n)
-    return Output({"n": args.n, "s1": args.s1, "value": str(value)},
+    return Output({"n": args.n, "s1": args.s1, "value": to_decimal(value)},
                   ["n", "s1", "value"], [[args.n, args.s1, value]], [value])
 
 
 def _cmd_class(args) -> Output:
-    members = list(itertools.islice(classes.class_spec(args.s1, args.n).members(), args.count))
-    return Output({"s1": args.s1, "n": args.n, "members": [str(v) for v in members]},
+    spec = classes.class_spec(args.s1, args.n)
+    # an empty class (last digit 5, speed 1) has no members: smallest() names it in a ValueError
+    members = list(itertools.islice(spec.members(), args.count)) or [spec.smallest()]
+    return Output({"s1": args.s1, "n": args.n, "members": list(map(to_decimal, members))},
                   ["member"], [[v] for v in members], members)
 
 
 def _cmd_root(args) -> Output:
     res = decadic.root_residue(args.i, args.digits)
-    text = "".join(map(str, reversed(res.digits)))
+    text = to_decimal(res.value).zfill(args.digits)
     return Output({"root": args.i, "digits": args.digits, "value": text},
                   ["root", "digits", "value"], [[args.i, args.digits, text]], [text])
 
@@ -225,11 +235,11 @@ def _cmd_table1(args) -> Output:
     rows = classes.table1_rows(args.max)
     payload = {
         "rows": [
-            {"n": n, "class5": None if a5 is None else str(a5), "others": str(other)}
+            {"n": n, "class5": None if a5 is None else to_decimal(a5), "others": to_decimal(other)}
             for n, a5, other in rows
         ]
     }
-    lines = [f"{n} {'-' if a5 is None else a5} {other}" for n, a5, other in rows]
+    lines = [f"{r['n']} {r['class5'] or '-'} {r['others']}" for r in payload["rows"]]
     return Output(payload, ["n", "class5", "others"], rows, lines)
 
 
@@ -241,7 +251,7 @@ def _cmd_table2(args) -> Output:
         {"rows": [dict(_record_dict(r), non_monotonic=r.n in flags) for r in records]},
         ["n", "q", "method", "oracle_checked", "non_monotonic"],
         [[r.n, r.q, r.method, r.oracle_checked, r.n in flags] for r in records],
-        [f"{r.n} {r.q}{' *' if r.n in flags else ''}" for r in records],
+        [f"{r.n} {to_decimal(r.q)}{' *' if r.n in flags else ''}" for r in records],
     )
 
 
@@ -270,8 +280,8 @@ def _cmd_verify(args) -> Output:
 
 def _cmd_oeis(args) -> Output:
     rows = [(n, classes.min_base(n)) for n in range(args.terms)]
-    return Output({"rows": [{"n": n, "a": str(a)} for n, a in rows]},
-                  ["n", "a"], rows, [f"{n} {a}" for n, a in rows])
+    return Output({"rows": [{"n": n, "a": to_decimal(a)} for n, a in rows]},
+                  ["n", "a"], rows, [f"{n} {to_decimal(a)}" for n, a in rows])
 
 
 @functools.cache
@@ -290,12 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("speed", help="constant speed V(a), or V(a, b) with --height")
-    p.add_argument("a", type=int)
+    p.add_argument("a", type=decimal)
     p.add_argument("--height", type=_at_least(1), default=None)
     p.set_defaults(func=_cmd_speed)
 
     p = sub.add_parser("profile", help="per-height frozen digits and speeds")
-    p.add_argument("a", type=int)
+    p.add_argument("a", type=decimal)
     p.add_argument("--max-height", type=_at_least(1), required=True)
     p.set_defaults(func=_cmd_profile)
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from .arith import to_decimal
+
 # Last digit of each root, indexed 1..13.
 ROOT_LAST_DIGIT = {
     1: 1, 2: 2, 3: 3, 4: 3, 5: 4, 6: 5, 7: 5,
@@ -47,12 +49,7 @@ class DecadicResidue:
     @property
     def digits(self) -> tuple[int, ...]:
         """Digits s_1..s_n, least significant first."""
-        # In blocks of 1,000: Python refuses one int-to-str conversion above 4,300 digits.
-        out, rest = [], self.value
-        while len(out) < self.n:
-            rest, block = divmod(rest, 10**1000)
-            out += reversed(f"{block:01000d}")
-        return tuple(map(int, out[: self.n]))
+        return tuple(map(int, reversed(to_decimal(self.value).zfill(self.n))))
 
 
 @functools.lru_cache(maxsize=None)

@@ -78,6 +78,44 @@ class TestDigitLength:
             digit_length(0)
 
 
+class TestDecimal:
+    """to_decimal and decimal convert any length, past CPython's 4,300-digit limit."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [0, 7, -7, 10**999, 10**1000 - 1, 10**1000, -(10**1000) - 1, 2**3000,
+         12345 * 10**2000 + 6789],
+        ids=["0", "7", "-7", "1e999", "1e1000-1", "1e1000", "-1e1000-1", "2^3000", "zero-blocks"],
+    )
+    def test_match_str_and_int_below_the_limit(self, x):
+        assert arith.to_decimal(x) == str(x)
+        assert arith.decimal(str(x)) == x
+        assert arith.decimal(f" +{abs(x)}\n") == abs(x)
+
+    @pytest.mark.parametrize("digits", [4301, 5000, 15001])
+    def test_past_the_limit(self, digits):
+        x = 3 ** (digits * 2096 // 1000)  # 10^0.477 = 3, so about `digits` digits
+        text = arith.to_decimal(x)
+        assert len(text) > 4300 and arith.decimal(text) == x
+        # digit by digit, independent of either helper
+        rest = x
+        for c in reversed(text):
+            rest, digit = divmod(rest, 10)
+            assert int(c) == digit
+        assert rest == 0 and text[0] != "0"
+        assert arith.decimal("-" + text) == -x and arith.to_decimal(-x) == "-" + text
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "-", "x", "1_000", "--5", "+-5", "1-2", "7.0", "\u0663", "1" * 1000 + "-5"],
+        ids=["empty", "sign", "x", "underscore", "two-signs", "mixed-signs", "inner-sign",
+             "point", "arabic-indic-3", "sign-at-block-1000"],
+    )
+    def test_rejects_what_is_not_a_decimal_integer(self, text):
+        with pytest.raises(ValueError):
+            arith.decimal(text)
+
+
 class TestCarmichael:
     def test_fixtures(self):
         assert carmichael(10) == 4

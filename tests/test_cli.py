@@ -4,6 +4,7 @@ import functools
 import io
 import itertools
 import json
+import random
 
 import pytest
 
@@ -135,9 +136,10 @@ class TestTables:
         assert out.splitlines() == ["182", "1432", "2682", "3932", "6432"]
 
     @pytest.mark.parametrize("s1,want", [("1", "11 21 31 41 61 71"), ("2", "2 12 22 42 52 62"),
-                                         ("9", "9 19 29 39 59 69"), ("5", "")])
+                                         ("9", "9 19 29 39 59 69")])
     def test_class_speed_one(self, capsys, s1, want):
-        # Speed 1 is a residue test mod 25; no base ending in 5 has it.
+        # Speed 1 is a residue test mod 25; no base ending in 5 has it
+        # (TestClassEdges::test_class_empty_is_2_with_the_min_base_line).
         code, out = run(capsys, "class", s1, "1", "--count", "6")
         assert (code, out.split()) == (0, want.split())
         assert all(speed.constant_speed(int(a)) == 1 for a in out.split())
@@ -512,15 +514,63 @@ class TestClassEdges:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    def test_class_empty_is_2_with_the_min_base_line(self, capsys):
+        # class 5 has no speed-1 member; before, `class` printed an empty list
+        line = "error: no base with last digit 5 has speed 1\n"
+        assert cli.main(["min-base", "1", "--class", "5"]) == 2
+        assert capsys.readouterr().err == line
+        for fmt in ("text", "json", "csv"):
+            assert cli.main(["--output", fmt, "class", "5", "1", "--count", "3"]) == 2
+            assert capsys.readouterr() == ("", line)
+
     def test_root_above_str_limit(self, capsys):
         code, out = run(capsys, "root", "1", "--digits", "5000")
         text = out.rstrip("\n")
         assert code == 0 and len(text) == 5000
-        value = decadic.root_residue(1, 5000).value
-        for c in reversed(text):
-            value, digit = divmod(value, 10)
-            assert int(c) == digit
-        assert value == 0
+        assert_decimal(text, decadic.root_residue(1, 5000).value)
+
+
+def assert_decimal(text, value):
+    """text writes value >= 0 in decimal, checked digit by digit (no int-str conversion)."""
+    assert text[:1] != "0" or text == "0" * len(text)
+    for c in reversed(text):
+        value, digit = divmod(value, 10)
+        assert int(c) == digit
+    assert value == 0
+
+
+class TestPastTheStrLimit:
+    """CPython converts at most 4,300 digits between int and str in one step; the
+    CLI reads bases and prints integers of any length, with no process-wide setting."""
+
+    def test_printed_integers(self, capsys):
+        code, out = run(capsys, "min-base", "15000")
+        assert code == 0 and len(out) > 4301
+        assert_decimal(out.rstrip("\n"), classes.min_base(15000))
+        members = list(itertools.islice(classes.class_spec(1, 4400).members(), 2))
+        code, out = run(capsys, "--output", "json", "class", "1", "4400", "--count", "2")
+        assert code == 0 and len(out) > 8600
+        for text, value in zip(json.loads(out)["members"], members, strict=True):
+            assert_decimal(text, value)
+        code, out = run(capsys, "--output", "csv", "class", "1", "4400", "--count", "2")
+        for text, value in zip(out.splitlines()[1:], members, strict=True):
+            assert_decimal(text, value)
+
+    def test_base_arguments(self, capsys):
+        text = "7" * 5000
+        a = 7 * (10**5000 - 1) // 9
+        v = speed.speed_at_height(a, 2)
+        code, out = run(capsys, "--output", "json", "speed", text, "--height", "2")
+        assert code == 0 and json.loads(out) == {"a": text, "V": v, "heights": [[2, v]]}
+        nu = speed.speed_profile(a, 2).frozen_counts[1]
+        code, out = run(capsys, "--output", "csv", "profile", "+" + text, "--max-height", "2")
+        assert code == 0 and out.splitlines()[2] == f"2,{nu},{v}"
+        assert cli.main(["speed", text + "0"]) == 2
+        assert capsys.readouterr().err == f"error: undefined congruence speed for a = {text}0\n"
+        assert cli.main(["speed", "-" + text]) == 2
+        assert capsys.readouterr().err == f"error: undefined congruence speed for a = -{text}\n"
+        assert usage_error(capsys, "speed", text + "x")[1][0].endswith(
+            f"argument a: invalid decimal value: '{text}x'")
 
 
 class TestParserReuse:
@@ -549,7 +599,8 @@ class TestParserReuse:
         assert run(capsys, "speed", "807") == (0, "3\n")
         assert usage_error(capsys, "profile", "2", "--max-height", "0")[0] == 2
         code, out = run(capsys, "--output", "json", "profile", "2", "--max-height", "5")
-        assert code == 0 and json.loads(out)["precision"] == 64
+        # nu(1..5) = 0, 0, 1, 2, 3, read off one table of nu(5) + 1 digits
+        assert code == 0 and json.loads(out)["precision"] == 4
 
 
 def _counting(monkeypatch, module, name):
@@ -571,8 +622,8 @@ class TestWorkCounts:
         assert len(calls) <= 2
 
     def test_long_coprime_speed_builds_two_narrow_tables(self, capsys, monkeypatch):
-        # 70 digits: the floor height 64 at a flat 64-digit start, then one
-        # retry sized from the resolved heights
+        # 70 digits: the certificate's table, sized by the LTE bound, then the
+        # floor height 64 at the digits the certified lines predict
         calls = _counting(monkeypatch, arith, "tower_residues")
         assert run(capsys, "speed", "1234567891" * 7) == (0, "1\n")
         assert len(calls) <= 2
@@ -592,13 +643,29 @@ class TestWorkCounts:
         assert speed.constant_speed(a) == v
         assert len(calls) == 1
 
-    def test_q150_oracle_check_builds_two_short_tables(self, monkeypatch):
+    def test_q150_oracle_check_builds_one_short_table(self, monkeypatch):
         q150 = primes.smallest_prime_with_speed(150).q
         calls = _counting(monkeypatch, arith, "tower_residues")
         assert speed.constant_speed(q150) == 150
-        assert len(calls) <= 2
+        assert len(calls) == 1
         assert max(b_max for _, b_max, _ in calls) <= 5
         assert max(digits for _, _, digits in calls) <= 761  # 5 nu_2(q^4 - 1) + 1
+
+    def test_constant_speed_builds_one_table(self, monkeypatch):
+        # The LTE bound sizes the certificate's one table before it is built, so
+        # no base reads a second one: not the seeded bases of 2-80 digits, not the
+        # class members of speed up to 25, whose sides pass 64 digits, nor q_150.
+        rng = random.Random(23)
+        bases = [rng.randrange(2, 10 ** rng.randint(2, 80)) for _ in range(300)]
+        bases += [next(classes.class_spec(s1, v).members())
+                  for s1 in (1, 2, 3, 4, 5, 6, 7, 8, 9) for v in range(2, 26)]
+        bases.append(primes.smallest_prime_with_speed(150).q)
+        calls = _counting(monkeypatch, arith, "tower_residues")
+        for a in bases:
+            if a % 10:
+                calls.clear()
+                assert speed.constant_speed(a) == classes.speed_by_formula(a), a
+                assert len(calls) == 1, a
 
     def test_q20_oracle_check_builds_at_most_two_tables(self, monkeypatch):
         calls = _counting(monkeypatch, arith, "tower_residues")

@@ -83,16 +83,29 @@ class TestConstantSpeed:
         assert [speed_at_height(807, b) for b in range(2, 6)] == [4, 4, 4, 4]
         assert constant_speed(807) == 3
 
-    def test_lowered_retry_bound_raises_precision_error(self, monkeypatch):
-        # t5(4) = 65 leaves the 5-side open at 64 digits; with nu_5(a^4 - 1) = 13
-        # lowered to 12 the retry would be sized at 61 digits, no more than 64
-        a = 163574218751
+    def test_lowered_lte_bound_raises_precision_error(self, monkeypatch):
+        # From test_retried_sides_stay_under_the_lte_bound's generator: the 5-side of
+        # this even base meets its bound, t5(4) = 70 = 5 nu_5(a^4 - 1), so one table
+        # of 71 digits reads it; with nu_5 lowered by 1 the table has 66 digits, too
+        # few, and nothing retries.
+        a = 2094367361904940081787109376
+        t5 = reference_profile.frozen_lines(a, 4)[1]
+        assert t5[3] == 5 * arith.valuation(5, a**4 - 1) == 70
+        tables, inner = [], arith.tower_residues
+
+        def counting(a, b_max, digits):
+            tables.append(digits)
+            return inner(a, b_max, digits)
+
+        monkeypatch.setattr(arith, "tower_residues", counting)
+        assert constant_speed(a) == t5[3] - t5[2]
+        assert tables == [71]
         nu = arith.valuation
         monkeypatch.setattr(arith, "valuation", lambda p, x: nu(p, x) - (x == a**4 - 1))
-        with pytest.raises(PrecisionError, match="from 64 digits"):
-            constant_speed(a)
-        # a bound too small costs a table, never a wrong count
-        assert speed_profile(a, 15).frozen_counts == reference_profile.frozen_counts(a, 15)
+        for query in (constant_speed, lambda a: speed_profile(a, 6)):
+            with pytest.raises(PrecisionError, match="from 66 digits"):
+                query(a)
+        assert tables == [71, 66, 66]
 
 
 class TestSpeedProfile:
@@ -302,8 +315,9 @@ class TestReferenceProfile:
             assert reference_profile.frozen_counts(a, 6) == _frozen_table(a, 6, 6 * (c + 1))
 
     def test_retried_sides_stay_under_the_lte_bound(self):
-        # Bases near a root of y^5 = y leave affine sides open at 64 digits;
-        # _certify sizes their one retry by t_p(b) <= (b + 1) nu_p(a^4 - 1).
+        # Bases near a root of y^5 = y have affine sides past 64 digits, which a
+        # 64-digit table leaves open; _certify(a, 64) sizes its one table past them
+        # by the bound t_p(b) <= (b + 1) nu_p(a^4 - 1).
         rng = random.Random(20)
         retried = tight = 0
         for _ in range(300):

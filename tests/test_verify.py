@@ -112,7 +112,7 @@ class TestPhaseShiftFixture:
         profile = phase_shift_fixture()
         assert profile.speeds == [0, 6, 6, 5, 4, 4]
         assert profile.constant_speed == 4
-        assert profile.precision_digits == 64
+        assert profile.precision_digits == 26  # nu(6) + 1: nu(1..6) = 0, 6, 12, 17, 21, 25
 
     def test_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(verify, "PHASE_SHIFT_SPEEDS", (0, 6, 6, 5, 4, 3))
