@@ -112,7 +112,21 @@ def _cache_file(path: str, mode: str):
         raise ValueError(f"cannot use cache {path}: {exc.strerror}") from exc
 
 
+@functools.lru_cache(maxsize=1024)
+def _cached_record(line: str) -> PrimeSpeedRecord:
+    """A stripped cache line's record; pure, so each distinct line is checked once per process."""
+    obj = json.loads(line)
+    n, q, method, checked = (obj[k] for k in ("n", "q", "method", "oracle_checked"))
+    q = int(q) if isinstance(q, str) and q.isascii() and q.isdecimal() else q
+    # type(), not isinstance(): a JSON true is neither a count nor a prime
+    typed = (type(n), type(q), type(checked)) == (int, int, bool)
+    if not typed or method != primes.primality_method(q):
+        raise ValueError("mistyped field, or a method that is not q's")
+    return PrimeSpeedRecord(n, q, method, checked)
+
+
 def _load_cache(path: str) -> dict:
+    """n -> record over the whole file, read on every call: another process may append to it."""
     cache = {}
     if not path or not os.path.exists(path):
         return cache
@@ -120,18 +134,11 @@ def _load_cache(path: str) -> dict:
         for lineno, line in enumerate(fh, 1):
             try:
                 line = line.decode("utf-8").strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                n, q, method, checked = (obj[k] for k in ("n", "q", "method", "oracle_checked"))
-                q = int(q) if isinstance(q, str) and q.isascii() and q.isdecimal() else q
-                # type(), not isinstance(): a JSON true is neither a count nor a prime
-                typed = (type(n), type(q), type(checked)) == (int, int, bool)
-                if not typed or method != primes.primality_method(q):
-                    raise ValueError("mistyped field, or a method that is not q's")
+                if line:
+                    rec = _cached_record(line)
+                    cache[rec.n] = rec
             except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError included
                 raise CacheError(f"{path}:{lineno}: unreadable cache line") from exc
-            cache[n] = PrimeSpeedRecord(n, q, method, checked)
     return cache
 
 
@@ -149,9 +156,11 @@ def _verified(n: int, q: int) -> bool:
 def _resolver(cache_path: str | None, budget: int | None):
     """n -> PrimeSpeedRecord over one read of the cache.
 
-    Every call reads and checks every line of the cache.  A cached record
-    is verified, not recomputed, through `_verified`, which tests each
-    (n, q) once per process and then serves the verdict, a failing one too.
+    Every call reads every line of the cache.  `_cached_record` checks each
+    distinct line once per process; a line that fails is not memoised, so it
+    fails every call.  A cached record is verified, not recomputed, through
+    `_verified`, which tests each (n, q) once per process and then serves the
+    verdict, a failing one too.
     A miss opens the cache for append before it is searched for, so a path
     that cannot take the record fails before the search, not after it.
     """
@@ -343,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table2)
 
     p = sub.add_parser("verify", help="oracle-vs-formula sweep plus fixtures")
-    p.add_argument("--sweep", type=int, required=True)
+    p.add_argument("--sweep", type=_at_least(2), required=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oeis", help="b-file export")

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,6 +242,45 @@ class TestTower:
         assert e.is_large and e.residue == 65536 % lam
         e = tower_exponent(3, 3, 10**12)
         assert e.is_large and e.residue == 3**27 % lam
+
+
+def _golden_bases():
+    """Bases 1-299, then 600 seeded bases of 2-60 digits."""
+    rng = random.Random(2024)
+    lengths = [rng.randint(2, 60) for _ in range(600)]
+    return list(range(1, 300)) + [rng.randrange(10 ** (k - 1), 10**k) for k in lengths]
+
+
+GOLDEN_DIGITS = (1, 2, 3, 5, 8, 17, 40, 64)
+GOLDEN_HEIGHTS = (1, 2, 4, 7)
+
+
+class TestTowerGolden:
+    """`tower_residues` pinned on 28,768 (base, height, digits) tables.
+
+    The hash is of this implementation's output, itself checked against the
+    recursive reference on a subset, so a rewrite of the table (one modulus
+    per side in place of the Carmichael chain) can prove it gives the same
+    residues without a checkout of the code it replaces.
+    """
+
+    SHA256 = "52191fc9fee690db74e7925633ab8b996efee618012c7230cd6799ec80c2a40e"
+
+    def test_hash(self):
+        digest = hashlib.sha256()
+        for a in _golden_bases():
+            for digits in GOLDEN_DIGITS:
+                for b_max in GOLDEN_HEIGHTS:
+                    residues = " ".join(map(str, tower_residues(a, b_max, digits)))
+                    digest.update(f"{a} {b_max} {digits}: {residues}\n".encode())
+        assert digest.hexdigest() == self.SHA256
+
+    def test_subset_matches_recursive(self):
+        for a in _golden_bases()[::15]:
+            for digits in GOLDEN_DIGITS:
+                want = [tower_residue(a, b, digits) for b in range(1, GOLDEN_HEIGHTS[-1] + 1)]
+                for b_max in GOLDEN_HEIGHTS:
+                    assert tower_residues(a, b_max, digits) == want[:b_max], (a, b_max, digits)
 
 
 def _is_power_of(p, m):

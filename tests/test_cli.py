@@ -1,12 +1,15 @@
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import itertools
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_profile
 from congspeed import arith, classes, cli, decadic, primes, speed, verify
@@ -20,8 +23,9 @@ def run(capsys, *argv):
 
 @pytest.fixture(autouse=True)
 def fresh_verdicts():
-    """No test inherits a cached record's verdict from another test."""
+    """No test inherits a cached record's verdict or parsed line from another test."""
     cli._verified.cache_clear()
+    cli._cached_record.cache_clear()
 
 
 class TestBareValues:
@@ -424,6 +428,42 @@ class TestCache:
             "n": 3, "q": "193", "method": "deterministic-small", "oracle_checked": False}
 
 
+# Lines appended between two `table2` calls in one process: the second call
+# reads them as the first call of a fresh process would.
+class TestCacheAppendedBetweenCalls:
+    @pytest.mark.parametrize("tail", [b'{"n": 4, "q": "12', b'{"n": 4, "q": "\xff"}\n'],
+                             ids=["torn", "not-utf8"])
+    def test_bad_line_is_3_on_every_call(self, capsys, tmp_path, tail):
+        path = tmp_path / "q.jsonl"
+        argv = ["table2", "--max", "3", "--cache", str(path)]
+        assert run(capsys, *argv) == (0, "1 2\n2 5\n3 193\n")
+        with open(path, "ab") as fh:
+            fh.write(tail)
+        for _ in range(2):  # a failing line is not memoised
+            assert cli.main(argv) == 3
+            assert capsys.readouterr().err == f"error: {path}:4: unreadable cache line\n"
+
+    def test_valid_record_is_served(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "q.jsonl"
+        assert run(capsys, "table2", "--max", "3", "--cache", str(path))[0] == 0
+        with open(path, "a") as fh:
+            fh.write('{"n": 4, "q": "1249", "method": "deterministic-small", '
+                     '"oracle_checked": true}\n')
+        searches = _counting(monkeypatch, primes, "smallest_prime_with_speed")
+        code, out = run(capsys, "table2", "--max", "4", "--cache", str(path))
+        assert (code, out, searches) == (0, "1 2\n2 5\n3 193\n4 1249\n", [])
+
+    def test_crlf_and_whitespace_lines_load(self, capsys, tmp_path):
+        # str.strip() takes CR, tabs, U+0085, U+00A0, U+2028 and U+001C alike.
+        blanks = ["\r\n", " \t\r\n", "\x85\xa0\u2028\x1c\n"]
+        body = "".join(RECORD_3.format(q=193).replace("\n", "\r\n") + b for b in blanks)
+        path = tmp_path / "q.jsonl"
+        path.write_bytes(body.encode())
+        for _ in range(2):
+            assert run(capsys, "q", "3", "--cache", str(path)) == (0, "193\n")
+        assert path.read_bytes() == body.encode()  # served: nothing appended
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -448,7 +488,7 @@ class TestExitCodes:
         assert cli.main(["verify", "--sweep", "50"]) == 3
 
     @pytest.mark.parametrize("top,message", [
-        ("1", "bad sweep range"),
+        ("1", "congspeed verify: error: argument --sweep: must be at least 2, got 1"),
         ("2000000", "sweep is a desk-scale tool; a_max is capped at 10^6"),
     ])
     def test_bad_sweep_skips_fixture(self, capsys, monkeypatch, top, message):
@@ -458,8 +498,11 @@ class TestExitCodes:
             pytest.fail("phase-shift fixture ran before the sweep range was checked")
 
         monkeypatch.setattr(verify, "phase_shift_fixture", fixture)
-        assert cli.main(["verify", "--sweep", top]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        if message.startswith("congspeed"):  # argparse rejects it and names the argument
+            assert usage_error(capsys, "verify", "--sweep", top) == (2, [message])
+        else:  # the cap is verify.sweep's own
+            assert cli.main(["verify", "--sweep", top]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_base_is_2(self, capsys):
         assert cli.main(["speed", "40"]) == 2
@@ -683,6 +726,16 @@ class TestWorkCounts:
         assert run(capsys, *argv) == (0, cold)
         assert len(calls) == 2
 
+    def test_second_warm_table2_parses_no_cache_line(self, capsys, tmp_path):
+        argv = ["table2", "--max", "21", "--extra", "51,52,53,54",
+                "--cache", str(tmp_path / "q.jsonl")]
+        code, cold = run(capsys, *argv)
+        assert code == 0 and cli._cached_record.cache_info().misses == 0  # the file was empty
+        assert run(capsys, *argv) == (0, cold)
+        assert cli._cached_record.cache_info().misses == 26  # one per line, each parsed once
+        assert run(capsys, *argv) == (0, cold)
+        assert cli._cached_record.cache_info()[:2] == (26, 26)  # hits, misses
+
     def test_second_warm_table2_runs_no_primality_test(self, capsys, monkeypatch, tmp_path):
         argv = ["table2", "--max", "21", "--extra", "51,52,53,54",
                 "--cache", str(tmp_path / "q.jsonl")]
@@ -693,3 +746,84 @@ class TestWorkCounts:
         assert len(tests) == 26  # q_1..q_21, q_51..q_54 and q_50 for the flag on 51
         assert run(capsys, *argv) == (0, cold)
         assert len(tests) == 26
+
+
+def _int_text(low, high):
+    """The text of a small int, in range or not, or now and then a token that is not an int."""
+    ints, junk = st.integers(low, high).map(str), st.sampled_from(["x", "", "1.5", "1e3"])
+    return st.integers(0, 9).flatmap(lambda k: ints if k else junk)
+
+
+def _opt(flag, values):
+    """Now and then no option (missing when required), else the flag with a drawn value."""
+    present = values.map(lambda v: [flag, v])
+    return st.integers(0, 3).flatmap(lambda k: present if k else st.just([]))
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [t for p in ps for t in p])
+
+
+def _args(*values):
+    return st.tuples(*values).map(list)
+
+
+# Small, fast values for every subcommand; the cache names map to files in
+# `cache_dir`: a fresh file, one with a torn line, a missing directory, a directory.
+CACHES = st.sampled_from(["fresh.jsonl", "torn.jsonl", "missing/q.jsonl", "."])
+ARGVS = _argv(
+    _opt("--output", st.sampled_from(["text", "json", "csv", "xml"])),
+    st.one_of(
+        _argv(st.just(["speed"]), _args(_int_text(-2, 10**6)), _opt("--height", _int_text(-1, 7))),
+        _argv(st.just(["profile"]), _args(_int_text(-2, 10**6)),
+              _opt("--max-height", _int_text(-1, 7))),
+        _argv(st.just(["min-base"]), _args(_int_text(-2, 60)), _opt("--class", _int_text(-1, 10))),
+        _argv(st.just(["class"]), _args(_int_text(-1, 10), _int_text(-1, 8)),
+              _opt("--count", _int_text(-1, 5))),
+        _argv(st.just(["root"]), _args(_int_text(-1, 14)), _opt("--digits", _int_text(-1, 80))),
+        _argv(st.just(["q"]), _args(_int_text(-1, 12)), _opt("--budget", _int_text(-1, 3)),
+              _opt("--cache", CACHES)),
+        _argv(st.just(["table1"]), _opt("--max", _int_text(-1, 12))),
+        _argv(st.just(["table2"]), _opt("--max", _int_text(-1, 12)),
+              _opt("--extra", st.sampled_from(["", "3", "1,7", "0", "x", "2,,3"])),
+              _opt("--budget", _int_text(-1, 3)), _opt("--cache", CACHES)),
+        _argv(st.just(["verify"]),
+              _opt("--sweep", st.one_of(_int_text(-1, 30), st.just("2000000")))),
+        _argv(st.just(["oeis"]), st.sampled_from([[], ["--min-bases"]]),
+              _opt("--terms", _int_text(-1, 12))),
+        st.sampled_from([[], ["frobnicate"], ["speed", "7", "--bogus"]]),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def cache_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("caches")
+    (path / "torn.jsonl").write_text(RECORD_3.format(q=193) + '{"n": 5, "q": "229')
+    return path
+
+
+class TestContract:
+    """Every argv exits 0-3 with no traceback and at most one error line."""
+
+    @given(ARGVS)
+    @settings(max_examples=400, deadline=None)
+    def test_exit_code_and_stderr(self, cache_dir, argv):
+        if "--cache" in argv:
+            at = argv.index("--cache") + 1
+            argv = argv[:at] + [str(cache_dir / argv[at])] + argv[at + 1:]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2, 3)
+        assert bool(lines) == (code != 0), (argv, code, lines)
+        if len(lines) == 1:
+            assert lines[0].startswith("error: "), lines
+        elif lines:
+            errors = [line for line in lines if "error:" in line]
+            assert lines[0].startswith("usage: congspeed") and errors == lines[-1:], lines
+            assert re.match(r"congspeed( [a-z0-9-]+)?: error: ", lines[-1]), lines
