@@ -7,7 +7,7 @@ system built on 10-adic root residues (`speed_by_formula`, `class_spec`,
 (`smallest_prime_with_speed`).
 """
 
-from .arith import carmichael, digit_length, tower_residues, valuation
+from .arith import digit_length, tower_residues, valuation
 from .classes import (
     class5_closed_form,
     class_spec,
@@ -40,7 +40,6 @@ from .speed import (
     speed_at_height,
     speed_profile,
     SpeedProfile,
-    TetrationBase,
     UndefinedSpeedError,
 )
 from .verify import FixtureMismatch, phase_shift_fixture, sweep, SweepReport
@@ -48,7 +47,7 @@ from .verify import FixtureMismatch, phase_shift_fixture, sweep, SweepReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "carmichael", "digit_length", "tower_residues", "valuation",
+    "digit_length", "tower_residues", "valuation",
     "class5_closed_form", "class_spec", "ClassSpec", "FormulaMismatch", "min_base",
     "min_base_class", "ProgressionFamily",
     "speed_by_formula", "speed_by_membership", "speed_one_residues",
@@ -58,6 +57,6 @@ __all__ = [
     "PrimeSpeedRecord", "repnine_speed", "RepnineForm", "SearchBudgetError",
     "smallest_prime_table", "smallest_prime_with_speed",
     "constant_speed", "PrecisionError", "speed_at_height",
-    "speed_profile", "SpeedProfile", "TetrationBase", "UndefinedSpeedError",
+    "speed_profile", "SpeedProfile", "UndefinedSpeedError",
     "FixtureMismatch", "phase_shift_fixture", "sweep", "SweepReport",
 ]

@@ -95,17 +95,6 @@ def _lambda_exponents(i: int, j: int) -> tuple[int, int]:
     return max(i2, 2), j - 1
 
 
-def carmichael(m: int) -> int:
-    """Carmichael's lambda for a modulus m = 2^i * 5^j."""
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    i, j = valuation(2, m), valuation(5, m)
-    if m != 2**i * 5**j:
-        raise ValueError(f"modulus {m} is not of the form 2^i * 5^j")
-    i2, j2 = _lambda_exponents(i, j)
-    return 2**i2 * 5**j2
-
-
 def _carmichael_chain(i: int, j: int) -> tuple[int, ...]:
     """The chain 2^i * 5^j, then each link's lambda (or a multiple), down to 1.
 

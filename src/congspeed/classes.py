@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import decadic
-from .arith import valuation
+from .arith import to_decimal, valuation
 from .speed import UndefinedSpeedError, _require_valid_base
 
 # Residues modulo 25 of the bases with constant congruence speed exactly 1.
@@ -216,7 +216,8 @@ def table1_rows(n_max: int = 19) -> list[tuple]:
 def valuation_bound(a: int) -> int:
     """Upper bound on V(a) from 2- and 5-adic valuations of a^2 -+ 1."""
     if a < 2 or a % 10 == 0:
-        raise UndefinedSpeedError(f"valuation bound needs a >= 2 not divisible by 10, got {a}")
+        raise UndefinedSpeedError(
+            f"valuation bound needs a >= 2 not divisible by 10, got {to_decimal(a)}")
     s1 = a % 10
     sq = a * a
     if s1 == 5:
@@ -254,7 +255,8 @@ def speed_by_formula(a: int) -> int:
     v = _formula_value(a)
     if not class_spec(a % 10, v).contains(a):
         raise FormulaMismatch(
-            f"valuation formula gives V({a}) = {v}, class membership gives {speed_by_membership(a)}"
+            f"valuation formula gives V({to_decimal(a)}) = {v}, "
+            f"class membership gives {speed_by_membership(a)}"
         )
     return v
 

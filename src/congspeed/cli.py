@@ -115,9 +115,9 @@ def _cache_file(path: str, mode: str):
 @functools.lru_cache(maxsize=1024)
 def _cached_record(line: str) -> PrimeSpeedRecord:
     """A stripped cache line's record; pure, so each distinct line is checked once per process."""
-    obj = json.loads(line)
+    obj = json.loads(line, parse_int=decimal)
     n, q, method, checked = (obj[k] for k in ("n", "q", "method", "oracle_checked"))
-    q = int(q) if isinstance(q, str) and q.isascii() and q.isdecimal() else q
+    q = decimal(q) if isinstance(q, str) and q.isascii() and q.isdecimal() else q
     # type(), not isinstance(): a JSON true is neither a count nor a prime
     typed = (type(n), type(q), type(checked)) == (int, int, bool)
     if not typed or method != primes.primality_method(q):

@@ -37,7 +37,7 @@ class SearchBudgetError(RuntimeError):
     def __init__(self, n: int, examined: int, last_candidate: int):
         super().__init__(
             f"budget exhausted after {examined} candidates for speed {n}; "
-            f"resume above {last_candidate}"
+            f"resume above {arith.to_decimal(last_candidate)}"
         )
         self.n = n
         self.examined = examined
@@ -201,10 +201,11 @@ def smallest_prime_with_speed(
             continue
         if is_prime(cand):
             if classes.speed_by_formula(cand) != n:  # pragma: no cover
-                raise RuntimeError(f"candidate {cand} fails the speed check for n = {n}")
+                raise RuntimeError(
+                    f"candidate {arith.to_decimal(cand)} fails the speed check for n = {n}")
             check = oracle_check if oracle_check is not None else n <= 12
             if check and speed.constant_speed(cand) != n:  # pragma: no cover
-                raise RuntimeError(f"oracle rejects {cand} as a speed-{n} base")
+                raise RuntimeError(f"oracle rejects {arith.to_decimal(cand)} as a speed-{n} base")
             return PrimeSpeedRecord(n, cand, primality_method(cand), bool(check))
     raise RuntimeError("unreachable: the enumerations are infinite")  # pragma: no cover
 

@@ -37,20 +37,6 @@ class CertificateMismatch(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TetrationBase:
-    """A tetration base together with its last digit and decimal length."""
-
-    a: int
-    s1: int
-    length: int
-
-    @classmethod
-    def from_int(cls, a: int) -> "TetrationBase":
-        _require_valid_base(a)
-        return cls(a, a % 10, arith.digit_length(a))
-
-
-@dataclass(frozen=True)
 class ProfileEntry:
     height: int
     frozen: int | None  # None marks "all working digits agree" (only a = 1 keeps it)
@@ -59,7 +45,7 @@ class ProfileEntry:
 
 @dataclass(frozen=True)
 class SpeedProfile:
-    base: TetrationBase
+    a: int
     precision_digits: int
     entries: tuple[ProfileEntry, ...]
     constant_speed: int
@@ -170,14 +156,14 @@ def speed_profile(a: int, b_max: int | None = None) -> SpeedProfile:
     reported is the digits of the table the counts were read off, 0 for
     a = 1, which reads none.
     """
-    base = TetrationBase.from_int(a)
+    _require_valid_base(a)
     if b_max is None:
         b_max = stabilization_floor(a)
     if b_max < 1:
         raise ValueError("b_max must be >= 1")
     if a == 1:
         entries = tuple(ProfileEntry(b, None, 0) for b in range(1, b_max + 1))
-        return SpeedProfile(base, 0, entries, 0)
+        return SpeedProfile(a, 0, entries, 0)
     v, lines, digits = _certify(a, 0)
     nus = [_line_nu(a, lines, b) for b in range(1, b_max + 1)]
     if b_max > 4:
@@ -188,4 +174,4 @@ def speed_profile(a: int, b_max: int | None = None) -> SpeedProfile:
                                       f"the certified lines {nus}")
     speeds = [y - x for x, y in zip([0] + nus, nus)]
     entries = tuple(ProfileEntry(b, nu, s) for b, nu, s in zip(range(1, b_max + 1), nus, speeds))
-    return SpeedProfile(base, digits, entries, v)
+    return SpeedProfile(a, digits, entries, v)

@@ -5,16 +5,19 @@ chain.  This module evaluates the same towers top-down, one modulus at a
 time, so the tests can compare the two.  It carries a tower exponent
 exactly up to its own threshold, CLAMP_THRESHOLD (or a larger prime-power
 exponent of the modulus), where the package stops at the digit count, so
-the two evaluations clamp different towers.  `exact_tetration` gives exact
-values for the few towers small enough to write out.
+the two evaluations clamp different towers.  Its Carmichael lambda is its
+own too, written from the prime-power values, so the package's chain is
+checked against a lambda it did not compute.  `exact_tetration` gives
+exact values for the few towers small enough to write out.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
-from congspeed.arith import carmichael, digit_length, valuation
+from congspeed.arith import digit_length, valuation
 
 CLAMP_THRESHOLD = 64
 
@@ -34,8 +37,17 @@ class ClampedExponent:
 
 
 @functools.lru_cache(maxsize=None)
-def _lambda_int(m: int) -> int:
-    return carmichael(m)
+def carmichael(m: int) -> int:
+    """lambda(2^i * 5^j) = lcm(lambda(2^i), lambda(5^j)), where lambda(2) = 1,
+    lambda(4) = 2, lambda(2^i) = 2^(i - 2) from i = 3 and lambda(5^j) = 4 * 5^(j - 1)."""
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    i, j = valuation(2, m), valuation(5, m)
+    if m != 2**i * 5**j:
+        raise ValueError(f"modulus {m} is not of the form 2^i * 5^j")
+    two = 2 if i == 2 else 2 ** max(i - 2, 0)
+    five = 4 * 5 ** (j - 1) if j else 1
+    return math.lcm(two, five)
 
 
 def _exact_tower(a: int, b: int, cap: int):
@@ -67,7 +79,7 @@ def _tower_exponent(a: int, b: int, m: int, cap: int) -> ClampedExponent:
     exact = _exact_tower(a, b, cap)
     if exact is not None:
         return ClampedExponent(exact, False)
-    lam = _lambda_int(m)
+    lam = carmichael(m)
     return ClampedExponent(_tower_mod(a, b, lam, cap), True)
 
 
@@ -78,7 +90,7 @@ def _tower_mod(a: int, b: int, m: int, cap: int) -> int:
         return a % m
     e = _tower_exponent(a, b - 1, m, cap)
     if e.is_large:
-        lam = _lambda_int(m)
+        lam = carmichael(m)
         return pow(a, e.residue + lam, m)
     return pow(a, e.residue, m)
 

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from congspeed import arith
-from congspeed.arith import carmichael, digit_length, lambda_chain, tower_residues, valuation
-from reference_tower import ClampedExponent, exact_tetration, tower_exponent, tower_residue
+from congspeed.arith import digit_length, lambda_chain, tower_residues, valuation
+from reference_tower import (
+    carmichael, ClampedExponent, exact_tetration, tower_exponent, tower_residue,
+)
 
 
 def trial_factor(x):
@@ -119,6 +121,8 @@ class TestDecimal:
 
 
 class TestCarmichael:
+    """The tower reference's own lambda, which the chain tests below rely on."""
+
     def test_fixtures(self):
         assert carmichael(10) == 4
         assert carmichael(100) == 20

@@ -263,6 +263,11 @@ class TestValuationBound:
         with pytest.raises(UndefinedSpeedError):
             valuation_bound(30)
 
+    def test_domain_past_the_str_limit(self):
+        # CPython converts at most 4,300 digits between int and str in one step.
+        with pytest.raises(UndefinedSpeedError, match=f"got 1{'0' * 5000}$"):
+            valuation_bound(10**5000)
+
 
 class TestSpeedByFormula:
     @pytest.mark.parametrize(
@@ -297,6 +302,14 @@ class TestSpeedByFormula:
         monkeypatch.setattr(classes, "_formula_value", lambda a: 4)
         with pytest.raises(classes.FormulaMismatch, match="membership gives 3"):
             speed_by_formula(807)
+
+    def test_disagreement_past_the_str_limit(self, monkeypatch):
+        a = 7 * (10**5000 - 1) // 9  # 5,000 sevens, V = 1
+        monkeypatch.setattr(classes, "_formula_value", lambda a: 2)
+        with pytest.raises(classes.FormulaMismatch,
+                           match=f"^valuation formula gives V\\({'7' * 5000}\\) = 2, "
+                                 "class membership gives 1$"):
+            speed_by_formula(a)
 
 
 class TestMembership:

@@ -615,6 +615,27 @@ class TestPastTheStrLimit:
         assert usage_error(capsys, "speed", text + "x")[1][0].endswith(
             f"argument a: invalid decimal value: '{text}x'")
 
+    def test_budget_error_names_the_whole_candidate(self, capsys):
+        first = next(primes.speed_candidates(4400))  # 4,400 digits
+        assert cli.main(["q", "4400", "--budget", "1"]) == 1
+        head = "error: budget exhausted after 1 candidates for speed 4400; resume above "
+        err = capsys.readouterr().err
+        assert err.startswith(head) and err.count("\n") == 1 and err.endswith("\n")
+        assert_decimal(err[len(head):-1], first)
+
+    def test_cache_reads_back_what_it_writes(self, capsys, tmp_path):
+        q = 10**4400 + 1  # 4,401 digits, never verified: only n = 3 is asked for
+        path = tmp_path / "q.jsonl"
+        with open(path, "wb") as fh:
+            cli._append_cache(fh, primes.PrimeSpeedRecord(4400, q, "probabilistic", False))
+            fh.write(RECORD_3.format(q=193).encode())
+            # q as a JSON integer, which a cache line may also hold
+            fh.write(f'{{"n": 4401, "q": 1{"0" * 4399}1, "method": "probabilistic", '
+                     '"oracle_checked": false}\n'.encode())
+        assert run(capsys, "q", "3", "--cache", str(path)) == (0, "193\n")
+        cache = cli._load_cache(str(path))
+        assert cache[4400].q == cache[4401].q == q
+
 
 class TestParserReuse:
     """`main` reuses one parser for every call; no call may see another's state."""

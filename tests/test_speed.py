@@ -18,7 +18,6 @@ from congspeed.speed import (
     speed_at_height,
     speed_profile,
     stabilization_floor,
-    TetrationBase,
     UndefinedSpeedError,
 )
 
@@ -118,7 +117,7 @@ class TestSpeedProfile:
         p = phase_shift_fixture()  # speed_profile(143**625, 6), cached
         assert p.speeds == [0, 6, 6, 5, 4, 4]
         assert p.constant_speed == 4
-        assert p.base.length == 1348
+        assert p.a == 143**625 and arith.digit_length(p.a) == 1348
 
     def test_repnine_prime_pattern(self):
         p = speed_profile(29509900499, 3)
@@ -147,12 +146,6 @@ class TestSpeedProfile:
             # speeds never increase from height 3 on
             tail = p.speeds[2:]
             assert all(x >= y for x, y in zip(tail, tail[1:]))
-
-    def test_base_record(self):
-        b = TetrationBase.from_int(807)
-        assert (b.a, b.s1, b.length) == (807, 7, 3)
-        with pytest.raises(UndefinedSpeedError):
-            TetrationBase.from_int(40)
 
 
 class TestStabilization:
